@@ -6,42 +6,22 @@
 //! structure for that word fits in the one atomic cell, so word-level
 //! linearisability comes for free and contention only arises when two
 //! threads hash to the *same* word simultaneously (probability ≈ 1/l).
+//!
+//! Placement is planned only through [`ProbePlan`] (one key) and
+//! [`PlanBuffer`] (a batch) — the sequential filter's hashing, bit for
+//! bit — and scalar and batch operations share one walk per operation
+//! kind: one `Acquire` snapshot per group for queries, one CAS per group
+//! for updates, with cross-group rollback.
 
-#[cfg(feature = "stats")]
-use crate::stats::AccessLedger;
 use mpcbf_analysis::heuristic::MpcbfShape;
 use mpcbf_bitvec::{AlignedVec, Kernel, KernelOps};
 use mpcbf_core::config::MpcbfConfig;
 use mpcbf_core::hcbf::{HcbfWord, WordError};
-#[cfg(feature = "stats")]
-use mpcbf_core::metrics::{AccessStats, OpCost, OpKind, WordTouches};
 use mpcbf_core::scrub::{segment_of, FilterSeal, ScrubReport};
-#[cfg(feature = "stats")]
-use mpcbf_core::ProbePlan;
-use mpcbf_core::{FilterError, PlanBuffer};
-#[cfg(feature = "stats")]
-use mpcbf_hash::mix::bits_for;
-#[cfg(not(feature = "stats"))]
-use mpcbf_hash::DoubleHasher;
+use mpcbf_core::{FilterError, PlanBuffer, ProbePlan};
 use mpcbf_hash::{Hasher128, Murmur3};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-#[cfg(not(feature = "stats"))]
-const WORD_SALT: u64 = 0x4d50_4342_465f_5744;
-#[cfg(not(feature = "stats"))]
-const GROUP_SALT: u64 = 0x4d50_4342_465f_4752;
-
-#[cfg(not(feature = "stats"))]
-#[inline]
-fn split_hashes(k: u32, g: u32, t: u32) -> u32 {
-    let base = k / g;
-    if t < k % g {
-        base + 1
-    } else {
-        base
-    }
-}
 
 /// A lock-free MPCBF (64-bit words only).
 pub struct AtomicMpcbf<H: Hasher128 = Murmur3> {
@@ -49,8 +29,6 @@ pub struct AtomicMpcbf<H: Hasher128 = Murmur3> {
     shape: MpcbfShape,
     seed: u64,
     overflows: AtomicU64,
-    #[cfg(feature = "stats")]
-    stats: AccessLedger,
     _hasher: PhantomData<H>,
 }
 
@@ -68,8 +46,6 @@ impl<H: Hasher128> AtomicMpcbf<H> {
             shape,
             seed: config.seed(),
             overflows: AtomicU64::new(0),
-            #[cfg(feature = "stats")]
-            stats: AccessLedger::new(),
             _hasher: PhantomData,
         }
     }
@@ -90,28 +66,6 @@ impl<H: Hasher128> AtomicMpcbf<H> {
             .iter()
             .map(|w| u64::from(w.load(Ordering::Relaxed).count_ones()))
             .sum()
-    }
-
-    #[cfg(not(feature = "stats"))]
-    #[inline]
-    fn targets(&self, key: &[u8], out: &mut [(usize, u32); 64]) -> usize {
-        let digest = H::hash128(self.seed, key);
-        let mut word_picker = DoubleHasher::with_salt(digest, WORD_SALT, self.shape.l);
-        let mut n = 0;
-        for t in 0..self.shape.g {
-            let word = word_picker.next_index();
-            let k_t = split_hashes(self.shape.k, self.shape.g, t);
-            let mut inner = DoubleHasher::with_salt(
-                digest,
-                GROUP_SALT ^ u64::from(t),
-                u64::from(self.shape.b1),
-            );
-            for _ in 0..k_t {
-                out[n] = (word, inner.next_index() as u32);
-                n += 1;
-            }
-        }
-        n
     }
 
     /// CAS loop applying `op` to one word. Returns `Err` if `op` reports
@@ -140,159 +94,7 @@ impl<H: Hasher128> AtomicMpcbf<H> {
         }
     }
 
-    /// The metered cost of one operation, mirroring the sequential
-    /// filter's accounting exactly: distinct words touched, and hash bits
-    /// = word-picker bits per evaluated group + position bits per
-    /// evaluated probe + any counter-traversal bits an update reports.
-    #[cfg(feature = "stats")]
-    fn probe_cost(
-        &self,
-        words_eval: u32,
-        pos_eval: u32,
-        touches: &WordTouches,
-        traversal_bits: u32,
-    ) -> OpCost {
-        OpCost {
-            word_accesses: touches.count(),
-            hash_bits: words_eval * bits_for(self.shape.l)
-                + pos_eval * bits_for(u64::from(self.shape.b1))
-                + traversal_bits,
-        }
-    }
-
-    /// Merged access ledger (feature `stats`): mean accesses / hash bits
-    /// per operation kind, measured under whatever concurrency actually
-    /// happened. With `stats` on, scalar operations run through the
-    /// planned (per-group) paths so their costs mirror the sequential
-    /// accounting; placement and final state are unchanged.
-    #[cfg(feature = "stats")]
-    pub fn access_stats(&self) -> AccessStats {
-        let mut stats = AccessStats::new();
-        self.stats.fold_into(&mut stats);
-        stats
-    }
-
-    /// Membership check.
-    pub fn contains<K: mpcbf_hash::Key + ?Sized>(&self, key: &K) -> bool {
-        self.contains_bytes(key.key_bytes().as_slice())
-    }
-
-    /// Membership check on raw bytes.
-    #[cfg(not(feature = "stats"))]
-    pub fn contains_bytes(&self, key: &[u8]) -> bool {
-        let mut targets = [(0usize, 0u32); 64];
-        let n = self.targets(key, &mut targets);
-        let mut i = 0;
-        while i < n {
-            let word = targets[i].0;
-            // One atomic load serves every position in this word.
-            let snapshot = HcbfWord::from_raw(self.words[word].load(Ordering::Acquire));
-            while i < n && targets[i].0 == word {
-                if !snapshot.query(targets[i].1) {
-                    return false;
-                }
-                i += 1;
-            }
-        }
-        true
-    }
-
-    /// Membership check on raw bytes (metered).
-    #[cfg(feature = "stats")]
-    pub fn contains_bytes(&self, key: &[u8]) -> bool {
-        self.query_plan(&self.plan(key))
-    }
-
-    /// Inserts a key.
-    pub fn insert<K: mpcbf_hash::Key + ?Sized>(&self, key: &K) -> Result<(), FilterError> {
-        self.insert_bytes(key.key_bytes().as_slice())
-    }
-
-    /// Inserts raw bytes, rolling back on overflow.
-    ///
-    /// Unlike the locked variants, a rollback step here *can* fail under
-    /// contention: another thread removing this key mid-rollback drains
-    /// the counter first. The state is then indeterminate for this key,
-    /// reported as [`FilterError::CorruptionDetected`] (a scrub resolves
-    /// it) — never a panic a remote caller could trigger.
-    #[cfg(not(feature = "stats"))]
-    pub fn insert_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
-        let mut targets = [(0usize, 0u32); 64];
-        let n = self.targets(key, &mut targets);
-        let b1 = self.shape.b1;
-        for i in 0..n {
-            let (word, p) = targets[i];
-            if let Err(e) = self.update_word(word, |w| w.increment(p, b1).map(|_| ())) {
-                for &(rw, rp) in targets[..i].iter().rev() {
-                    if self
-                        .update_word(rw, |w| w.decrement(rp, b1).map(|_| ()))
-                        .is_err()
-                    {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: segment_of(rw),
-                        });
-                    }
-                }
-                self.overflows.fetch_add(1, Ordering::Relaxed);
-                return Err(e.at(word));
-            }
-        }
-        Ok(())
-    }
-
-    /// Inserts raw bytes, rolling back on overflow (metered; one CAS per
-    /// group — identical placement, strictly coarser granularity).
-    #[cfg(feature = "stats")]
-    pub fn insert_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
-        self.insert_planned(&self.plan(key), self.shape.b1)
-    }
-
-    /// Removes a key.
-    pub fn remove<K: mpcbf_hash::Key + ?Sized>(&self, key: &K) -> Result<(), FilterError> {
-        self.remove_bytes(key.key_bytes().as_slice())
-    }
-
-    /// Removes raw bytes, rolling back if the element is absent. Rollback
-    /// failure reports `CorruptionDetected` instead of panicking — see
-    /// [`Self::insert_bytes`].
-    #[cfg(not(feature = "stats"))]
-    pub fn remove_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
-        let mut targets = [(0usize, 0u32); 64];
-        let n = self.targets(key, &mut targets);
-        let b1 = self.shape.b1;
-        for i in 0..n {
-            let (word, p) = targets[i];
-            if self
-                .update_word(word, |w| w.decrement(p, b1).map(|_| ()))
-                .is_err()
-            {
-                for &(rw, rp) in targets[..i].iter().rev() {
-                    if self
-                        .update_word(rw, |w| w.increment(rp, b1).map(|_| ()))
-                        .is_err()
-                    {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: segment_of(rw),
-                        });
-                    }
-                }
-                return Err(FilterError::NotPresent);
-            }
-        }
-        Ok(())
-    }
-
-    /// Removes raw bytes, rolling back if the element is absent (metered;
-    /// one CAS per group).
-    #[cfg(feature = "stats")]
-    pub fn remove_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
-        self.remove_planned(&self.plan(key), self.shape.b1)
-    }
-
-    /// Plans a key's probes. The plan uses the same `WORD_SALT`/`GROUP_SALT`
-    /// streams as [`Self::targets`], so planned and scalar operations place
-    /// elements identically.
-    #[cfg(feature = "stats")]
+    /// Plans one key's probes — the sequential filter's placement.
     #[inline]
     fn plan(&self, key: &[u8]) -> ProbePlan {
         ProbePlan::partitioned(
@@ -305,8 +107,8 @@ impl<H: Hasher128> AtomicMpcbf<H> {
     }
 
     /// Plans a whole batch into the caller's [`PlanBuffer`] — the same
-    /// digest streams as [`Self::targets`]/[`ProbePlan`], zero allocation
-    /// once the buffer is warm.
+    /// digest streams as [`ProbePlan`], zero allocation once the buffer
+    /// is warm.
     fn plan_into(&self, keys: &[&[u8]], plans: &mut PlanBuffer) {
         plans.plan_partitioned(
             keys.iter().map(|key| H::hash128(self.seed, key)),
@@ -317,84 +119,37 @@ impl<H: Hasher128> AtomicMpcbf<H> {
         );
     }
 
-    /// Queries one planned key (metered twin: same verdict and
-    /// short-circuit, cost recorded into the ledger).
-    #[cfg(feature = "stats")]
-    fn query_plan(&self, plan: &ProbePlan) -> bool {
-        let mut touches = WordTouches::new();
-        let mut words_eval = 0u32;
-        let mut pos_eval = 0u32;
-        let mut hit = true;
-        for (word, probes) in plan.groups() {
-            touches.touch(word);
-            words_eval += 1;
-            let snapshot = HcbfWord::from_raw(self.words[word].load(Ordering::Acquire));
-            let (all_set, evaluated) = snapshot.query_all(probes);
-            pos_eval += evaluated;
-            if !all_set {
-                hit = false;
-                break;
-            }
-        }
-        let cost = self.probe_cost(words_eval, pos_eval, &touches, 0);
-        self.stats.record(OpKind::Query, cost);
-        hit
-    }
-
-    /// Queries one planned key out of the batch's [`PlanBuffer`] (one
-    /// `Acquire` snapshot per group's word, short-circuiting at the first
-    /// zero).
-    #[cfg(not(feature = "stats"))]
+    /// Queries one key: one `Acquire` snapshot per group's word,
+    /// short-circuiting at the first zero. `group(t)` is the key's group
+    /// `t` as `(word, in-word probes)` for `t < g` — from a [`ProbePlan`]
+    /// (scalar) or a [`PlanBuffer`] entry (batch).
     #[inline]
-    fn query_planned_buf(&self, plans: &PlanBuffer, i: usize) -> bool {
-        for (word, probes) in plans.groups_of(i) {
+    fn query_walk<'p>(&self, g: usize, group: impl Fn(usize) -> (usize, &'p [u32])) -> bool {
+        (0..g).all(|t| {
+            let (word, probes) = group(t);
             let snapshot = HcbfWord::from_raw(self.words[word].load(Ordering::Acquire));
-            let (all_set, _) = snapshot.query_all(probes);
-            if !all_set {
-                return false;
-            }
-        }
-        true
+            snapshot.query_all(probes).0
+        })
     }
 
-    /// Metered twin of [`Self::query_planned_buf`].
-    #[cfg(feature = "stats")]
-    fn query_planned_buf(&self, plans: &PlanBuffer, i: usize) -> bool {
-        let mut touches = WordTouches::new();
-        let mut words_eval = 0u32;
-        let mut pos_eval = 0u32;
-        let mut hit = true;
-        for (word, probes) in plans.groups_of(i) {
-            touches.touch(word);
-            words_eval += 1;
-            let snapshot = HcbfWord::from_raw(self.words[word].load(Ordering::Acquire));
-            let (all_set, evaluated) = snapshot.query_all(probes);
-            pos_eval += evaluated;
-            if !all_set {
-                hit = false;
-                break;
-            }
-        }
-        let cost = self.probe_cost(words_eval, pos_eval, &touches, 0);
-        self.stats.record(OpKind::Query, cost);
-        hit
-    }
-
-    /// Inserts one planned key out of the batch's [`PlanBuffer`]: one CAS
-    /// per *group* (the whole group's increments land word-atomically)
-    /// through the batch-resolved update kernel, with cross-group rollback
-    /// on overflow. Placement and final state are identical to the scalar
-    /// path; the per-word granularity is strictly coarser.
-    #[cfg(not(feature = "stats"))]
-    fn insert_planned_buf(
+    /// Inserts one key: one CAS per *group* (the whole group's increments
+    /// land word-atomically) through the update kernel `ops`, with
+    /// cross-group rollback on overflow.
+    ///
+    /// Unlike the locked variants, a rollback step here *can* fail under
+    /// contention: another thread removing this key mid-rollback drains
+    /// the counter first. The state is then indeterminate for this key,
+    /// reported as [`FilterError::CorruptionDetected`] (a scrub resolves
+    /// it) — never a panic a remote caller could trigger.
+    fn insert_walk<'p>(
         &self,
-        plans: &PlanBuffer,
-        i: usize,
-        b1: u32,
+        g: usize,
+        group: impl Fn(usize) -> (usize, &'p [u32]),
         ops: &KernelOps,
     ) -> Result<(), FilterError> {
-        for t in 0..plans.group_count() {
-            let (word, probes) = plans.group(i, t);
+        let b1 = self.shape.b1;
+        for t in 0..g {
+            let (word, probes) = group(t);
             if self
                 .update_word(word, |w| {
                     w.increment_all_routed(probes, b1, ops).map(|_| ())
@@ -402,7 +157,7 @@ impl<H: Hasher128> AtomicMpcbf<H> {
                 .is_err()
             {
                 for u in (0..t).rev() {
-                    let (rw, rp) = plans.group(i, u);
+                    let (rw, rp) = group(u);
                     if self
                         .update_word(rw, |w| w.decrement_all_routed(rp, b1, ops).map(|_| ()))
                         .is_err()
@@ -419,60 +174,18 @@ impl<H: Hasher128> AtomicMpcbf<H> {
         Ok(())
     }
 
-    /// Metered twin of [`Self::insert_planned_buf`].
-    #[cfg(feature = "stats")]
-    fn insert_planned_buf(
+    /// Mirror of [`Self::insert_walk`] for removal: rolls back if the
+    /// element turns out absent; rollback failure reports
+    /// `CorruptionDetected`.
+    fn remove_walk<'p>(
         &self,
-        plans: &PlanBuffer,
-        i: usize,
-        b1: u32,
+        g: usize,
+        group: impl Fn(usize) -> (usize, &'p [u32]),
         ops: &KernelOps,
     ) -> Result<(), FilterError> {
-        let mut touches = WordTouches::new();
-        let mut traversal_bits = 0u32;
-        for t in 0..plans.group_count() {
-            let (word, probes) = plans.group(i, t);
-            touches.touch(word);
-            let mut group_bits = 0u32;
-            if self
-                .update_word(word, |w| {
-                    w.increment_all_routed(probes, b1, ops)
-                        .map(|bits| group_bits = bits)
-                })
-                .is_err()
-            {
-                for u in (0..t).rev() {
-                    let (rw, rp) = plans.group(i, u);
-                    if self
-                        .update_word(rw, |w| w.decrement_all_routed(rp, b1, ops).map(|_| ()))
-                        .is_err()
-                    {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: segment_of(rw),
-                        });
-                    }
-                }
-                self.overflows.fetch_add(1, Ordering::Relaxed);
-                return Err(FilterError::WordOverflow { word });
-            }
-            traversal_bits += group_bits;
-        }
-        let cost = self.probe_cost(self.shape.g, self.shape.k, &touches, traversal_bits);
-        self.stats.record(OpKind::Insert, cost);
-        Ok(())
-    }
-
-    /// Mirror of [`Self::insert_planned_buf`] for removal.
-    #[cfg(not(feature = "stats"))]
-    fn remove_planned_buf(
-        &self,
-        plans: &PlanBuffer,
-        i: usize,
-        b1: u32,
-        ops: &KernelOps,
-    ) -> Result<(), FilterError> {
-        for t in 0..plans.group_count() {
-            let (word, probes) = plans.group(i, t);
+        let b1 = self.shape.b1;
+        for t in 0..g {
+            let (word, probes) = group(t);
             if self
                 .update_word(word, |w| {
                     w.decrement_all_routed(probes, b1, ops).map(|_| ())
@@ -480,7 +193,7 @@ impl<H: Hasher128> AtomicMpcbf<H> {
                 .is_err()
             {
                 for u in (0..t).rev() {
-                    let (rw, rp) = plans.group(i, u);
+                    let (rw, rp) = group(u);
                     if self
                         .update_word(rw, |w| w.increment_all_routed(rp, b1, ops).map(|_| ()))
                         .is_err()
@@ -496,117 +209,40 @@ impl<H: Hasher128> AtomicMpcbf<H> {
         Ok(())
     }
 
-    /// Metered twin of [`Self::remove_planned_buf`].
-    #[cfg(feature = "stats")]
-    fn remove_planned_buf(
-        &self,
-        plans: &PlanBuffer,
-        i: usize,
-        b1: u32,
-        ops: &KernelOps,
-    ) -> Result<(), FilterError> {
-        let mut touches = WordTouches::new();
-        let mut traversal_bits = 0u32;
-        for t in 0..plans.group_count() {
-            let (word, probes) = plans.group(i, t);
-            touches.touch(word);
-            let mut group_bits = 0u32;
-            if self
-                .update_word(word, |w| {
-                    w.decrement_all_routed(probes, b1, ops)
-                        .map(|bits| group_bits = bits)
-                })
-                .is_err()
-            {
-                for u in (0..t).rev() {
-                    let (rw, rp) = plans.group(i, u);
-                    if self
-                        .update_word(rw, |w| w.increment_all_routed(rp, b1, ops).map(|_| ()))
-                        .is_err()
-                    {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: segment_of(rw),
-                        });
-                    }
-                }
-                return Err(FilterError::NotPresent);
-            }
-            traversal_bits += group_bits;
-        }
-        let cost = self.probe_cost(self.shape.g, self.shape.k, &touches, traversal_bits);
-        self.stats.record(OpKind::Remove, cost);
-        Ok(())
+    /// Membership check.
+    pub fn contains<K: mpcbf_hash::Key + ?Sized>(&self, key: &K) -> bool {
+        self.contains_bytes(key.key_bytes().as_slice())
     }
 
-    /// Metered twin of the planned insert: same effects, cost recorded on
-    /// success (a refused insert reports no cost). Traversal bits come
-    /// from the CAS attempt that actually published.
-    #[cfg(feature = "stats")]
-    fn insert_planned(&self, plan: &ProbePlan, b1: u32) -> Result<(), FilterError> {
-        let groups: Vec<(usize, &[u32])> = plan.groups().collect();
-        let mut touches = WordTouches::new();
-        let mut traversal_bits = 0u32;
-        for (i, &(word, probes)) in groups.iter().enumerate() {
-            touches.touch(word);
-            let mut group_bits = 0u32;
-            if self
-                .update_word(word, |w| {
-                    w.increment_all(probes, b1).map(|bits| group_bits = bits)
-                })
-                .is_err()
-            {
-                for &(rw, rp) in groups[..i].iter().rev() {
-                    if self
-                        .update_word(rw, |w| w.decrement_all(rp, b1).map(|_| ()))
-                        .is_err()
-                    {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: segment_of(rw),
-                        });
-                    }
-                }
-                self.overflows.fetch_add(1, Ordering::Relaxed);
-                return Err(FilterError::WordOverflow { word });
-            }
-            traversal_bits += group_bits;
-        }
-        let cost = self.probe_cost(self.shape.g, self.shape.k, &touches, traversal_bits);
-        self.stats.record(OpKind::Insert, cost);
-        Ok(())
+    /// Membership check on raw bytes.
+    pub fn contains_bytes(&self, key: &[u8]) -> bool {
+        let plan = self.plan(key);
+        self.query_walk(plan.group_count(), |t| plan.group(t))
     }
 
-    /// Mirror of [`Self::insert_planned`] for removal (metered twin).
-    #[cfg(feature = "stats")]
-    fn remove_planned(&self, plan: &ProbePlan, b1: u32) -> Result<(), FilterError> {
-        let groups: Vec<(usize, &[u32])> = plan.groups().collect();
-        let mut touches = WordTouches::new();
-        let mut traversal_bits = 0u32;
-        for (i, &(word, probes)) in groups.iter().enumerate() {
-            touches.touch(word);
-            let mut group_bits = 0u32;
-            if self
-                .update_word(word, |w| {
-                    w.decrement_all(probes, b1).map(|bits| group_bits = bits)
-                })
-                .is_err()
-            {
-                for &(rw, rp) in groups[..i].iter().rev() {
-                    if self
-                        .update_word(rw, |w| w.increment_all(rp, b1).map(|_| ()))
-                        .is_err()
-                    {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: segment_of(rw),
-                        });
-                    }
-                }
-                return Err(FilterError::NotPresent);
-            }
-            traversal_bits += group_bits;
-        }
-        let cost = self.probe_cost(self.shape.g, self.shape.k, &touches, traversal_bits);
-        self.stats.record(OpKind::Remove, cost);
-        Ok(())
+    /// Inserts a key.
+    pub fn insert<K: mpcbf_hash::Key + ?Sized>(&self, key: &K) -> Result<(), FilterError> {
+        self.insert_bytes(key.key_bytes().as_slice())
+    }
+
+    /// Inserts raw bytes, rolling back on overflow (see
+    /// [`Self::insert_walk`] for the contended-rollback caveat).
+    pub fn insert_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
+        let plan = self.plan(key);
+        let ops = KernelOps::accelerated();
+        self.insert_walk(plan.group_count(), |t| plan.group(t), &ops)
+    }
+
+    /// Removes a key.
+    pub fn remove<K: mpcbf_hash::Key + ?Sized>(&self, key: &K) -> Result<(), FilterError> {
+        self.remove_bytes(key.key_bytes().as_slice())
+    }
+
+    /// Removes raw bytes, rolling back if the element is absent.
+    pub fn remove_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
+        let plan = self.plan(key);
+        let ops = KernelOps::accelerated();
+        self.remove_walk(plan.group_count(), |t| plan.group(t), &ops)
     }
 
     /// Batched membership check (hash all → probe all, in key order).
@@ -620,8 +256,9 @@ impl<H: Hasher128> AtomicMpcbf<H> {
     /// and yields bit-identical results to a fresh buffer.
     pub fn contains_batch_bytes_with(&self, keys: &[&[u8]], plans: &mut PlanBuffer) -> Vec<bool> {
         self.plan_into(keys, plans);
+        let g = plans.group_count();
         (0..keys.len())
-            .map(|i| self.query_planned_buf(plans, i))
+            .map(|i| self.query_walk(g, |t| plans.group(i, t)))
             .collect()
     }
 
@@ -640,10 +277,10 @@ impl<H: Hasher128> AtomicMpcbf<H> {
         plans: &mut PlanBuffer,
     ) -> Vec<Result<(), FilterError>> {
         self.plan_into(keys, plans);
+        let g = plans.group_count();
         let ops = Kernel::batch().update;
-        let b1 = self.shape.b1;
         (0..keys.len())
-            .map(|i| self.insert_planned_buf(plans, i, b1, &ops))
+            .map(|i| self.insert_walk(g, |t| plans.group(i, t), &ops))
             .collect()
     }
 
@@ -660,10 +297,10 @@ impl<H: Hasher128> AtomicMpcbf<H> {
         plans: &mut PlanBuffer,
     ) -> Vec<Result<(), FilterError>> {
         self.plan_into(keys, plans);
+        let g = plans.group_count();
         let ops = Kernel::batch().update;
-        let b1 = self.shape.b1;
         (0..keys.len())
-            .map(|i| self.remove_planned_buf(plans, i, b1, &ops))
+            .map(|i| self.remove_walk(g, |t| plans.group(i, t), &ops))
             .collect()
     }
 
@@ -929,44 +566,6 @@ mod tests {
                 segment: segment_of(321)
             })
         );
-    }
-
-    #[cfg(feature = "stats")]
-    #[test]
-    fn stats_ledger_matches_sequential_costs() {
-        // Same config/seed as the sequential filter: the atomic ledger's
-        // totals must equal what the sequential `_cost` calls report.
-        use mpcbf_core::{CountingFilter, Filter, Mpcbf};
-        let c = MpcbfConfig::builder()
-            .memory_bits(500_000)
-            .expected_items(5_000)
-            .hashes(3)
-            .seed(44)
-            .build()
-            .unwrap();
-        let atomic: AtomicMpcbf<Murmur3> = AtomicMpcbf::new(c);
-        let mut seq: Mpcbf<u64, Murmur3> = Mpcbf::new(c);
-        let mut expected = mpcbf_core::AccessStats::new();
-        for i in 0..1_000u64 {
-            let key = i.to_le_bytes();
-            atomic.insert_bytes(&key).unwrap();
-            expected
-                .inserts
-                .record(seq.insert_bytes_cost(&key).unwrap());
-        }
-        for i in 0..5_000u64 {
-            let key = i.to_le_bytes();
-            atomic.contains_bytes(&key);
-            expected.queries.record(seq.contains_bytes_cost(&key).1);
-        }
-        for i in 0..300u64 {
-            let key = i.to_le_bytes();
-            atomic.remove_bytes(&key).unwrap();
-            expected
-                .removes
-                .record(seq.remove_bytes_cost(&key).unwrap());
-        }
-        assert_eq!(atomic.access_stats(), expected);
     }
 
     #[test]

@@ -34,18 +34,21 @@
 //! Sharded batch updates hold the shard lock for the whole per-shard run,
 //! so within one shard a batch is observed atomically.
 //!
-//! ## Instrumentation (feature `stats`)
+//! ## Instrumentation: always-on lock counters
 //!
-//! With the `stats` feature enabled, both variants meter themselves from
-//! the inside: every operation's [`OpCost`](mpcbf_core::OpCost) lands in a
-//! wait-free relaxed-atomic ledger (one per shard for [`ShardedMpcbf`],
-//! one global for [`AtomicMpcbf`]), merged on read by `access_stats()`.
-//! The sharded variant additionally tallies per-shard lock acquisitions,
-//! contention (a failed `try_lock`) and hold time, readable via
-//! `lock_stats()` / `shard_lock_stats()`. The feature is off by default
-//! and the uninstrumented hot path compiles to exactly the code that
-//! existed before the feature — zero cost when off.
+//! [`ShardedMpcbf`] counts, per shard, the lock acquisitions its
+//! operations make and how many of them were contended (a failed
+//! `try_lock` before blocking), readable via `lock_stats()` /
+//! `shard_lock_stats()`. The counters are plain integers inside the
+//! mutex-guarded shard state, bumped once per lock taken: no atomic, no
+//! extra cache line, no clock read, and no build feature — the former
+//! `stats` feature and its per-operation access ledgers are gone. Access
+//! cost per operation follows from the same [`ProbePlan`] walks the
+//! sequential filters meter (`tests/metering.rs`). [`AtomicMpcbf`] keeps
+//! no counters: any shared tally would put a globally shared write on its
+//! lock-free path.
 //!
+//! [`ProbePlan`]: mpcbf_core::ProbePlan
 //! [`HcbfWord`]: mpcbf_core::HcbfWord
 
 #![forbid(unsafe_code)]
@@ -55,12 +58,8 @@ pub mod atomic;
 pub mod bulk;
 pub mod elastic;
 pub mod sharded;
-#[cfg(feature = "stats")]
-pub mod stats;
 
 pub use atomic::AtomicMpcbf;
 pub use bulk::{build_parallel, build_resilient_parallel, default_threads, ShardedBulkBuilder};
 pub use elastic::{ElasticShardedMpcbf, ElasticStats};
-pub use sharded::{ShardBatch, ShardedMpcbf};
-#[cfg(feature = "stats")]
-pub use stats::{AccessLedger, LockStats, ShardStats};
+pub use sharded::{LockStats, ShardBatch, ShardedMpcbf};

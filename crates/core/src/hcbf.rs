@@ -300,6 +300,7 @@ impl<W: Word> HcbfWord<W> {
     /// dispatch rides the bundle tag resolved once per batch instead of
     /// the cached atomic load every primitive pays. Bit-identical to
     /// [`HcbfWord::increment`] by the routed-tier differential tests.
+    #[inline(always)]
     pub fn increment_routed(
         &mut self,
         p: u32,
@@ -384,6 +385,7 @@ impl<W: Word> HcbfWord<W> {
 
     /// [`HcbfWord::decrement`] through a batch-resolved kernel bundle;
     /// see [`HcbfWord::increment_routed`].
+    #[inline(always)]
     pub fn decrement_routed(
         &mut self,
         p: u32,
@@ -543,6 +545,12 @@ impl<W: Word> HcbfWord<W> {
     /// the all-or-nothing contract with every walk (including rollback)
     /// routed via `ops`. The batch insert path resolves routing once and
     /// drives every word through this.
+    ///
+    /// The four routed walks are `#[inline(always)]`: once the sharded
+    /// filter's scalar and batch calls shared one walk, codegen left them
+    /// out of line in the batch loop, and the DRAM-resident sharded
+    /// workload ran about 20% fewer updates per second.
+    #[inline(always)]
     pub fn increment_all_routed(
         &mut self,
         probes: &[u32],
@@ -567,6 +575,7 @@ impl<W: Word> HcbfWord<W> {
 
     /// [`HcbfWord::decrement_all`] through a batch-resolved kernel bundle;
     /// see [`HcbfWord::increment_all_routed`].
+    #[inline(always)]
     pub fn decrement_all_routed(
         &mut self,
         probes: &[u32],

@@ -192,6 +192,17 @@ impl ProbePlan {
         &self.words[..self.groups as usize]
     }
 
+    /// Group `t` of a partitioned plan as `(word, in-word probes)` — the
+    /// indexed twin of [`PlanBuffer::group`], for walks that revisit
+    /// earlier groups on rollback.
+    #[inline]
+    pub fn group(&self, t: usize) -> (usize, &[u32]) {
+        debug_assert!(t < self.groups as usize);
+        let start: usize = self.group_len[..t].iter().map(|&n| n as usize).sum();
+        let end = start + self.group_len[t] as usize;
+        (self.words[t] as usize, &self.slots[start..end])
+    }
+
     /// Iterates a partitioned plan's groups as `(word, in-word probes)`,
     /// in scalar evaluation order.
     #[inline]
@@ -474,6 +485,7 @@ mod tests {
             assert_eq!(from_buf, from_plan, "key {i}");
             for (t, expect) in plan.groups().enumerate() {
                 assert_eq!(buf.group(i, t), expect, "key {i} group {t}");
+                assert_eq!(plan.group(t), expect, "key {i} group {t}");
             }
         }
     }

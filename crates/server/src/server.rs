@@ -365,8 +365,14 @@ impl Shared {
         let snap = self.telemetry.snapshot();
         let ops: u64 = snap.kinds().iter().map(|(_, k)| k.ops).sum();
         let r = &self.recovery;
-        let elastic = match &self.filter {
-            ServiceFilter::Fixed(_) => String::new(),
+        let mode_fields = match &self.filter {
+            ServiceFilter::Fixed(pool) => {
+                let locks = pool.lock_stats();
+                format!(
+                    ",\"lock_acquisitions\":{},\"lock_contended\":{}",
+                    locks.acquisitions, locks.contended
+                )
+            }
             ServiceFilter::Elastic(pool) => {
                 let st = pool.stats();
                 format!(
@@ -412,7 +418,7 @@ impl Shared {
             r.torn_tails.len(),
             r.segments_dropped,
             r.scrub_clean,
-            elastic,
+            mode_fields,
         )
     }
 
@@ -441,6 +447,13 @@ impl Shared {
             .insert("server_shards".into(), self.filter.shard_count() as f64);
         snap.gauges
             .insert("filter_overflows".into(), self.filter.overflows() as f64);
+        if let ServiceFilter::Fixed(pool) = &self.filter {
+            let locks = pool.lock_stats();
+            snap.counters
+                .insert("filter_lock_acquisitions".into(), locks.acquisitions);
+            snap.counters
+                .insert("filter_lock_contended".into(), locks.contended);
+        }
         if let ServiceFilter::Elastic(pool) = &self.filter {
             let st = pool.stats();
             snap.counters
@@ -1319,6 +1332,7 @@ mod tests {
 
             let stats = client.stats_json().expect("stats");
             assert!(stats.contains("\"shards\":4"), "{stats}");
+            assert!(stats.contains("\"lock_acquisitions\""), "{stats}");
 
             client.flush().expect("flush");
             client.checkpoint().expect("checkpoint");
@@ -1328,6 +1342,10 @@ mod tests {
                 metrics::http_get_text(server.metrics_addr().expect("metrics addr"), "/metrics")
                     .expect("metrics page");
             assert!(page.contains("mpcbf_server_frames_total"), "{page}");
+            assert!(
+                page.contains("mpcbf_filter_lock_acquisitions_total"),
+                "{page}"
+            );
             assert!(page.contains("mpcbf_server_shards"), "{page}");
 
             client.shutdown_server().expect("shutdown frame");

@@ -44,6 +44,11 @@ fn atomic_is_bit_compatible_with_sequential() {
             let c = atomic.remove(&i).is_ok();
             assert_eq!(a, c, "g={g}: remove {i} diverged (atomic)");
         }
+        assert_eq!(
+            atomic.raw_snapshot(),
+            seq.raw_words(),
+            "g={g}: atomic word array diverged from sequential"
+        );
         for probe in 0..30_000u64 {
             let a = seq.contains(&probe);
             assert_eq!(a, atomic.contains(&probe), "g={g}: probe {probe} (atomic)");
