@@ -15,6 +15,11 @@
 //! (no serde in the workspace) and lands in the current directory; run
 //! from the repo root.
 //!
+//! Word overflow (Fig. 6) is a probable outcome at these load points, not
+//! a bug: refused pre-load members and refused churn inserts are counted,
+//! a refused churn key is never removed, and the counts land in the JSON's
+//! `"refusals"` list.
+//!
 //! With `--gate`, the binary instead *reads* the committed
 //! `BENCH_batch.json`, re-measures the MPCBF-1 query leg, and exits
 //! non-zero if the batch-64 speedup fell below the recorded baseline
@@ -22,7 +27,7 @@
 
 use mpcbf_bench::report::fixed;
 use mpcbf_bench::Args;
-use mpcbf_core::{Cbf, CountingFilter, Mpcbf, MpcbfConfig, PlanBuffer};
+use mpcbf_core::{Cbf, CountingFilter, FilterError, Mpcbf, MpcbfConfig, PlanBuffer};
 use mpcbf_hash::Murmur3;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -55,6 +60,26 @@ fn ops_per_sec(budget: Duration, mut pass: impl FnMut() -> u64) -> f64 {
     ops as f64 / start.elapsed().as_secs_f64()
 }
 
+/// Whether an insert was admitted: `WordOverflow` is the filter's
+/// specified refusal (counted by the caller); any other error is a bug.
+fn admitted(result: Result<(), FilterError>) -> bool {
+    match result {
+        Ok(()) => true,
+        Err(FilterError::WordOverflow { .. }) => false,
+        Err(e) => panic!("insert failed: {e}"),
+    }
+}
+
+/// Inserts the filter refused for one [`measure`] call.
+struct Refusals {
+    filter: String,
+    /// Pre-load members refused.
+    preload: u64,
+    /// Churn keys refused per update pass (the largest pass; every pass
+    /// starts from the same state, so they normally agree).
+    churn: u64,
+}
+
 struct Measurement {
     filter: String,
     op: String,
@@ -76,10 +101,11 @@ fn measure<F: CountingFilter>(
     queries: &[[u8; 8]],
     churn: &[[u8; 8]],
     budget: Duration,
-) -> Vec<Measurement> {
-    for k in members {
-        filter.insert_bytes(k).expect("pre-load insert");
-    }
+) -> (Vec<Measurement>, Refusals) {
+    let preload = members
+        .iter()
+        .filter(|k| !admitted(filter.insert_bytes(k.as_slice())))
+        .count() as u64;
     let query_views: Vec<&[u8]> = queries.iter().map(|k| k.as_slice()).collect();
     let churn_views: Vec<&[u8]> = churn.iter().map(|k| k.as_slice()).collect();
 
@@ -102,14 +128,20 @@ fn measure<F: CountingFilter>(
         });
     }
 
-    // One "update" op = one insert + one matching remove (net-zero state,
-    // so every pass sees the identical load point).
+    // One "update" op = one insert + one matching remove of each admitted
+    // key (net-zero state, so every pass sees the identical load point).
+    let mut kept: Vec<&[u8]> = Vec::with_capacity(churn_views.len());
+    let mut churn = 0u64;
     let scalar_u = ops_per_sec(budget, || {
-        for k in &churn_views {
-            filter.insert_bytes(k).expect("insert");
+        kept.clear();
+        for &k in &churn_views {
+            if admitted(filter.insert_bytes(k)) {
+                kept.push(k);
+            }
         }
-        for k in &churn_views {
-            filter.remove_bytes(k).expect("remove");
+        churn = churn.max((churn_views.len() - kept.len()) as u64);
+        for k in &kept {
+            filter.remove_bytes(k).expect("remove of an admitted key");
         }
         churn_views.len() as u64
     });
@@ -117,21 +149,31 @@ fn measure<F: CountingFilter>(
     for (i, &batch) in BATCH_SIZES.iter().enumerate() {
         let mut plans = PlanBuffer::new();
         batched_u[i] = ops_per_sec(budget, || {
+            kept.clear();
             for chunk in churn_views.chunks(batch) {
-                for r in filter.insert_batch_with(chunk, &mut plans).0 {
-                    r.expect("insert");
+                let results = filter.insert_batch_with(chunk, &mut plans).0;
+                for (&k, r) in chunk.iter().zip(results) {
+                    if admitted(r) {
+                        kept.push(k);
+                    }
                 }
             }
-            for chunk in churn_views.chunks(batch) {
+            churn = churn.max((churn_views.len() - kept.len()) as u64);
+            for chunk in kept.chunks(batch) {
                 for r in filter.remove_batch_with(chunk, &mut plans).0 {
-                    r.expect("remove");
+                    r.expect("remove of an admitted key");
                 }
             }
             churn_views.len() as u64
         });
     }
 
-    vec![
+    let refusals = Refusals {
+        filter: name.to_string(),
+        preload,
+        churn,
+    };
+    let rows = vec![
         Measurement {
             filter: name.to_string(),
             op: "query".to_string(),
@@ -144,7 +186,8 @@ fn measure<F: CountingFilter>(
             scalar: scalar_u,
             batched: batched_u,
         },
-    ]
+    ];
+    (rows, refusals)
 }
 
 /// Pulls the recorded MPCBF-1 query batch-64 speedup out of a previously
@@ -210,6 +253,7 @@ fn main() {
                 std::process::exit(2);
             });
         let measured = measure("MPCBF-1", &mut mpcbf(1), &members, &queries, &churn, budget)
+            .0
             .into_iter()
             .find(|m| m.op == "query")
             .map(|m| m.speedup(2))
@@ -231,7 +275,12 @@ fn main() {
     }
 
     let mut all = Vec::new();
-    all.extend(measure(
+    let mut refusals = Vec::new();
+    let mut record = |(rows, refused): (Vec<Measurement>, Refusals)| {
+        all.extend(rows);
+        refusals.push(refused);
+    };
+    record(measure(
         "MPCBF-1",
         &mut mpcbf(1),
         &members,
@@ -239,7 +288,7 @@ fn main() {
         &churn,
         budget,
     ));
-    all.extend(measure(
+    record(measure(
         "MPCBF-2",
         &mut mpcbf(2),
         &members,
@@ -247,7 +296,7 @@ fn main() {
         &churn,
         budget,
     ));
-    all.extend(measure(
+    record(measure(
         "CBF",
         &mut Cbf::<Murmur3>::with_memory(big_m, k, 1),
         &members,
@@ -282,7 +331,7 @@ fn main() {
             .build()
             .unwrap(),
     );
-    all.extend(measure(
+    record(measure(
         "MPCBF-1/dram",
         &mut dram_filter,
         &dram_members,
@@ -355,6 +404,17 @@ fn main() {
             );
         }
         let _ = writeln!(json, "}}}}{}", if i + 1 < all.len() { "," } else { "" });
+    }
+    json.push_str("  ],\n  \"refusals\": [\n");
+    for (i, r) in refusals.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"filter\": \"{}\", \"preload_refused\": {}, \"churn_refused_per_pass\": {}}}{}",
+            r.filter,
+            r.preload,
+            r.churn,
+            if i + 1 < refusals.len() { "," } else { "" }
+        );
     }
     json.push_str("  ]\n}\n");
 

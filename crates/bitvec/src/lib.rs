@@ -19,12 +19,14 @@
 //! paper's word sizes (w = 16…64 in the figures) and beyond (256/512-bit
 //! cache-line words).
 //!
-//! The crate is safe Rust except for two tightly-scoped modules:
+//! The crate is safe Rust except for three tightly-scoped modules:
 //! [`kernel`] (runtime-dispatched BMI2 intrinsics behind cached CPU-feature
-//! detection) and [`aligned`] (cache-line-aligned allocation). Both carry
-//! per-block safety comments and are covered by differential tests proving
-//! them observably identical to the portable baseline; everything else
-//! compiles to the obvious mask-and-shift instruction sequences.
+//! detection), [`aligned`] (cache-line-aligned allocation) and
+//! [`prefetch`](mod@prefetch) (one read-prefetch hint, which cannot
+//! fault). Each carries per-block safety comments; the first two are
+//! covered by differential tests proving them observably identical to the
+//! portable baseline, and the hint changes no program state. Everything
+//! else compiles to the obvious mask-and-shift instruction sequences.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +35,7 @@ pub mod aligned;
 pub mod bitvec;
 pub mod counters;
 pub mod kernel;
+pub mod prefetch;
 pub mod wide;
 pub mod word;
 
@@ -40,6 +43,7 @@ pub use crate::aligned::{advise_huge_slice, AlignedVec, CACHE_LINE_BYTES};
 pub use crate::bitvec::BitVec;
 pub use crate::counters::CounterVec;
 pub use crate::kernel::{BatchKernel, Kernel, KernelOps};
+pub use crate::prefetch::prefetch;
 pub use crate::wide::WideWord;
 pub use crate::word::Word;
 

@@ -38,9 +38,24 @@
 //! key into the scratch's [`PlanBuffer`] (zero allocation once warm),
 //! (2) group keys by shard — a stable sort, so keys within one shard are
 //! processed in their original batch order, which keeps duplicate keys in
-//! a batch behaving exactly like a scalar loop — then per shard take the
-//! lock once for its whole contiguous run, (3) probe/update, with update
-//! runs driving the per-batch-resolved kernel bundle ([`Kernel::batch`]).
+//! a batch behaving exactly like a scalar loop, (3) prefetch every key's
+//! `g` planned words, in walk order, before any lock is taken, (4) per
+//! shard take the lock once for its whole contiguous run and
+//! probe/update, with update runs driving the per-batch-resolved kernel
+//! bundle ([`Kernel::batch`]).
+//!
+//! Stage 3 exists because a DRAM-resident filter's time goes into the
+//! word loads. The sequential filter overlaps its misses by interleaving
+//! several keys' word loads, but here consecutive keys can sit behind
+//! different shard locks, and a walk cannot run ahead across a lock it
+//! has not taken yet: a batch of 64 over 16 shards leaves runs of about 4
+//! keys, so at most one run's loads would be in flight at once.
+//! Prefetching the whole batch first lets every miss overlap, and the
+//! shard-run walks then find their words in cache. The prefetch
+//! addresses come from `bases`, each shard's word-array address published
+//! outside its lock (a stale address only wastes a hint; see
+//! [`mpcbf_bitvec::prefetch()`]). Answers and words are unchanged: a
+//! prefetch never alters program state.
 //!
 //! Scalar and batch operations share one word walk per operation kind
 //! (`query_walk`, `insert_walk`, `remove_walk`): a walk reads the key's
@@ -57,7 +72,7 @@
 //! [`ShardedMpcbf::shard_lock_stats`].
 
 use mpcbf_analysis::heuristic::MpcbfShape;
-use mpcbf_bitvec::{AlignedVec, Kernel, KernelOps, Word};
+use mpcbf_bitvec::{prefetch, AlignedVec, Kernel, KernelOps, Word};
 use mpcbf_core::codec;
 use mpcbf_core::config::MpcbfConfig;
 use mpcbf_core::hcbf::HcbfWord;
@@ -66,7 +81,7 @@ use mpcbf_core::{FilterError, PlanBuffer, ProbePlan};
 use mpcbf_hash::{Hasher128, Murmur3};
 use parking_lot::{Mutex, MutexGuard};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Reusable scratch for the sharded batch pipeline: the batch's probe
 /// plans plus the shard routing and run ordering derived from them.
@@ -127,6 +142,12 @@ struct Shard<W: Word> {
 /// field disjoint from the probe bits.
 pub struct ShardedMpcbf<W: Word = u64, H: Hasher128 = Murmur3> {
     shards: Vec<Mutex<Shard<W>>>,
+    /// Each shard's word-array address, readable without its lock: the
+    /// batch prefetch stage aims at `base + word · size`. Set by `new`,
+    /// updated under the lock by `bulk_install`, the only place that
+    /// swaps a shard's array. `Relaxed` is enough: nothing is ever read
+    /// through the address, it only aims prefetch hints.
+    bases: Vec<AtomicUsize>,
     shard_mask: u64,
     words_per_shard: u64,
     shape: MpcbfShape,
@@ -164,7 +185,7 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
             .clamp(1, word_cap)
             .min(1 << SHARD_BITS);
         let words_per_shard = l.div_ceil(shard_count).max(1);
-        let shards = (0..shard_count)
+        let shards: Vec<_> = (0..shard_count)
             .map(|_| {
                 Mutex::new(Shard {
                     words: AlignedVec::filled(words_per_shard, HcbfWord::new()),
@@ -172,8 +193,13 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
                 })
             })
             .collect();
+        let bases = shards
+            .iter()
+            .map(|s| AtomicUsize::new(s.lock().words.as_ptr() as usize))
+            .collect();
         ShardedMpcbf {
             shards,
+            bases,
             shard_mask: shard_count as u64 - 1,
             words_per_shard: words_per_shard as u64,
             shape,
@@ -475,13 +501,29 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
         order.sort_by_key(|&i| shards[i as usize]);
     }
 
-    /// Runs `body` once per shard that has keys in the batch, holding that
-    /// shard's lock exactly once for its whole contiguous run of keys.
+    /// Issues a read prefetch for every planned word of the batch, in the
+    /// order the shard runs will walk them, so the whole batch's misses
+    /// are in flight before the first lock is taken.
+    fn prefetch_batch(&self, scratch: &ShardBatch) {
+        let size = std::mem::size_of::<HcbfWord<W>>();
+        for &idx in &scratch.order {
+            let i = idx as usize;
+            let base = self.bases[scratch.shards[i] as usize].load(Ordering::Relaxed);
+            for &word in scratch.plans.words_of(i) {
+                prefetch(base.wrapping_add(word as usize * size));
+            }
+        }
+    }
+
+    /// Prefetches the batch's words, then runs `body` once per shard that
+    /// has keys in the batch, holding that shard's lock exactly once for
+    /// its whole contiguous run of keys.
     fn for_each_shard_run(
         &self,
         scratch: &ShardBatch,
         mut body: impl FnMut(&mut [HcbfWord<W>], &[u32], usize),
     ) {
+        self.prefetch_batch(scratch);
         let order = &scratch.order;
         let mut i = 0;
         while i < order.len() {
@@ -621,7 +663,9 @@ impl<H: Hasher128> ShardedMpcbf<u64, H> {
     /// Panics if `words` is not exactly one shard's length.
     pub(crate) fn bulk_install(&self, shard: usize, words: AlignedVec<HcbfWord<u64>>) {
         assert_eq!(words.len() as u64, self.words_per_shard);
-        self.shards[shard].lock().words = words;
+        let mut guard = self.shards[shard].lock();
+        guard.words = words;
+        self.bases[shard].store(guard.words.as_ptr() as usize, Ordering::Relaxed);
     }
 
     /// Adds bulk-build refusals to the overflow tally.
@@ -809,6 +853,44 @@ mod tests {
             let guard = shard.lock();
             let addr = guard.words.as_slice().as_ptr() as usize;
             assert_eq!(addr % mpcbf_bitvec::CACHE_LINE_BYTES, 0);
+        }
+    }
+
+    /// The address each shard publishes for the batch prefetch stage.
+    fn published_bases(f: &ShardedMpcbf<u64>) -> Vec<(usize, usize)> {
+        f.shards
+            .iter()
+            .zip(&f.bases)
+            .map(|(shard, base)| {
+                let words = shard.lock().words.as_ptr() as usize;
+                (base.load(Ordering::Relaxed), words)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn published_bases_track_every_shards_word_array() {
+        use crate::bulk::ShardedBulkBuilder;
+        for (published, words) in published_bases(&filter()) {
+            assert_eq!(published, words, "new() must publish each shard's array");
+        }
+        // The bulk finish swaps in freshly built arrays; each shard's
+        // published address must follow the swap.
+        let c = MpcbfConfig::builder()
+            .memory_bits(1_000_000)
+            .expected_items(10_000)
+            .hashes(3)
+            .seed(21)
+            .build()
+            .unwrap();
+        let mut builder: ShardedBulkBuilder = ShardedBulkBuilder::new(c, 8);
+        for i in 0..2_000u64 {
+            builder.push(&i.to_le_bytes());
+        }
+        let built = builder.finish();
+        assert_eq!(built.shard_count(), 8);
+        for (s, (published, words)) in published_bases(&built).into_iter().enumerate() {
+            assert_eq!(published, words, "shard {s}: stale address after finish");
         }
     }
 

@@ -38,7 +38,11 @@ use std::marker::PhantomData;
 /// the lane snapshots out of registers/L1 on cache-resident ones; this is
 /// the software-pipelining replacement for the retired `prefetch` feature
 /// (explicit prefetch hints lost on cache-resident filters, where the
-/// hint costs an instruction but saves nothing).
+/// hint costs an instruction but saves nothing). Interleaving works here
+/// because one `&self` borrow covers every word; the sharded filter's
+/// batches must take a lock per shard run, so a walk cannot run ahead
+/// across runs, and that pipeline prefetches the whole batch instead
+/// (`mpcbf_bitvec::prefetch`, DESIGN.md §13).
 const LANES: usize = 8;
 
 /// Largest `g` for which the interleaved query snapshots every lane's

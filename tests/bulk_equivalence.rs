@@ -12,7 +12,7 @@
 //! deferred admission, which must reproduce the sequential decisions
 //! from per-word running totals alone.
 
-use mpcbf::concurrent::{build_parallel, ShardedBulkBuilder, ShardedMpcbf};
+use mpcbf::concurrent::{build_parallel, ShardBatch, ShardedBulkBuilder, ShardedMpcbf};
 use mpcbf::core::{BulkBuilder, Filter, Mpcbf, MpcbfConfig, ResilientBulkBuilder, ResilientMpcbf};
 use mpcbf::durability::{DurabilityOptions, DurableShardedMpcbf};
 use mpcbf::hash::Murmur3;
@@ -135,13 +135,17 @@ proptest! {
     }
 
     /// Sharded bulk build: per-shard words, items and overflow tallies
-    /// all match a live sharded filter fed the same stream.
+    /// all match a live sharded filter fed the same stream. Then a mixed
+    /// query/insert/remove stream through the batch pipeline (plan,
+    /// prefetch, shard runs) on the bulk-built filter answers and ends
+    /// exactly like the same stream through scalar calls on the live one.
     #[test]
     fn sharded_bulk_equals_live_inserts(
         seed in 1u64..1000,
         n in 500u64..3_000,
         shards in 1usize..5,
         threads in 1usize..4,
+        batch in 1usize..80,
     ) {
         let cfg = config(1 << 15, 600, 3, 1, seed);
         let stream = keys(seed, n, 4, 9);
@@ -159,6 +163,38 @@ proptest! {
 
         // `encode()` captures every shard's full word image plus the
         // admission counters, so one comparison pins the whole state.
+        prop_assert_eq!(live.encode(), bulk.encode());
+
+        // Mixed traffic: stream keys (admitted, refused and hot
+        // duplicates) interleaved with strangers, cycling query → insert
+        // → remove one batch at a time over a single reused scratch.
+        let mixed: Vec<Vec<u8>> = stream
+            .iter()
+            .step_by(3)
+            .enumerate()
+            .flat_map(|(i, key)| [key.clone(), format!("stranger-{seed}-{i}").into_bytes()])
+            .collect();
+        let mut scratch = ShardBatch::new();
+        for (round, chunk) in mixed.chunks(batch).enumerate() {
+            let views: Vec<&[u8]> = chunk.iter().map(Vec::as_slice).collect();
+            match round % 3 {
+                0 => {
+                    let batched = bulk.contains_batch_bytes_with(&views, &mut scratch);
+                    let scalar: Vec<bool> = views.iter().map(|k| live.contains_bytes(k)).collect();
+                    prop_assert_eq!(batched, scalar, "query round {}", round);
+                }
+                1 => {
+                    let batched = bulk.insert_batch_bytes_with(&views, &mut scratch);
+                    let scalar: Vec<_> = views.iter().map(|k| live.insert_bytes(k)).collect();
+                    prop_assert_eq!(batched, scalar, "insert round {}", round);
+                }
+                _ => {
+                    let batched = bulk.remove_batch_bytes_with(&views, &mut scratch);
+                    let scalar: Vec<_> = views.iter().map(|k| live.remove_bytes(k)).collect();
+                    prop_assert_eq!(batched, scalar, "remove round {}", round);
+                }
+            }
+        }
         prop_assert_eq!(live.encode(), bulk.encode());
     }
 
