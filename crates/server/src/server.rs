@@ -1440,6 +1440,129 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every JSON key in `json`, in document order.
+    fn json_keys(json: &str) -> Vec<&str> {
+        json.split('"')
+            .collect::<Vec<_>>()
+            .windows(2)
+            .filter(|w| w[1].starts_with(':'))
+            .map(|w| w[0])
+            .collect()
+    }
+
+    /// `(series, type)` of every `/metrics` family with a pool-specific
+    /// prefix.
+    fn pool_series(page: &str) -> Vec<(String, String)> {
+        let mut out: Vec<(String, String)> = page
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split_once(' '))
+            .filter(|(name, _)| {
+                name.starts_with("mpcbf_filter_") || name.starts_with("mpcbf_elastic_")
+            })
+            .map(|(name, kind)| (name.to_string(), kind.to_string()))
+            .collect();
+        out.sort();
+        out
+    }
+
+    fn series(expected: &[(&str, &str)]) -> Vec<(String, String)> {
+        let mut out: Vec<(String, String)> = expected
+            .iter()
+            .map(|(n, k)| (n.to_string(), k.to_string()))
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn mode_specific_stats_and_metrics_are_pinned() {
+        const COMMON: [&str; 16] = [
+            "shards",
+            "mode",
+            "fsync",
+            "ops",
+            "overflows",
+            "connections",
+            "frames",
+            "bad_requests",
+            "checkpoints",
+            "shed",
+            "recovery",
+            "records_replayed",
+            "ops_replayed",
+            "torn_tails",
+            "segments_dropped",
+            "scrub_clean",
+        ];
+        for elastic in [false, true] {
+            let dir = scratch_dir(if elastic { "pin-elastic" } else { "pin-fixed" });
+            let server = Server::start(ServerConfig {
+                elastic,
+                ..test_config(&dir)
+            })
+            .expect("start");
+            let mut client = Client::connect(server.local_addr()).expect("connect");
+            for i in 0..64u64 {
+                assert!(client
+                    .insert(&i.to_le_bytes())
+                    .expect("insert")
+                    .is_applied());
+            }
+            let stats = client.stats_json().expect("stats");
+            let page =
+                metrics::http_get_text(server.metrics_addr().expect("metrics addr"), "/metrics")
+                    .expect("metrics page");
+            let mut keys: Vec<&str> = COMMON.to_vec();
+            if elastic {
+                assert!(stats.contains("\"mode\":\"elastic\""), "{stats}");
+                assert!(stats.contains("\"overflows\":0,"), "{stats}");
+                assert!(stats.contains(",\"elastic\":{\"generations\":"), "{stats}");
+                keys.extend([
+                    "elastic",
+                    "generations",
+                    "scale_events",
+                    "compactions",
+                    "migrated_keys",
+                    "fpr_envelope",
+                    "max_shard_fpr",
+                    "compacting_shards",
+                    "max_pressure",
+                ]);
+                assert_eq!(
+                    pool_series(&page),
+                    series(&[
+                        ("mpcbf_filter_overflows", "gauge"),
+                        ("mpcbf_elastic_scale_events_total", "counter"),
+                        ("mpcbf_elastic_compactions_total", "counter"),
+                        ("mpcbf_elastic_migrated_keys_total", "counter"),
+                        ("mpcbf_elastic_generations", "gauge"),
+                        ("mpcbf_elastic_fpr_envelope", "gauge"),
+                        ("mpcbf_elastic_max_shard_fpr", "gauge"),
+                        ("mpcbf_elastic_compacting_shards", "gauge"),
+                        ("mpcbf_elastic_max_pressure", "gauge"),
+                    ]),
+                    "{page}"
+                );
+            } else {
+                assert!(stats.contains("\"mode\":\"fixed\""), "{stats}");
+                keys.extend(["lock_acquisitions", "lock_contended"]);
+                assert_eq!(
+                    pool_series(&page),
+                    series(&[
+                        ("mpcbf_filter_overflows", "gauge"),
+                        ("mpcbf_filter_lock_acquisitions_total", "counter"),
+                        ("mpcbf_filter_lock_contended_total", "counter"),
+                    ]),
+                    "{page}"
+                );
+            }
+            assert_eq!(json_keys(&stats), keys, "{stats}");
+            server.shutdown().expect("shutdown");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn concurrent_clients_see_consistent_acks() {
         let dir = scratch_dir("concurrent");
