@@ -43,12 +43,12 @@
 //! Any violation panics, failing CI.
 
 use mpcbf_bench::Args;
-use mpcbf_concurrent::ShardedMpcbf;
+use mpcbf_concurrent::{ElasticShardedMpcbf, ShardedMpcbf};
 use mpcbf_core::scrub::SEGMENT_WORDS;
-use mpcbf_core::{Cbf, CountingFilter, Filter, Mpcbf, MpcbfConfig, ResilientMpcbf};
+use mpcbf_core::{CapacityPolicy, Cbf, CountingFilter, Filter, Mpcbf, MpcbfConfig, ResilientMpcbf};
 use mpcbf_durability::{
-    encode_frame, DurabilityOptions, DurableFilter, DurableShardedMpcbf, KillSite, KillSwitch,
-    WalOp, WalRecord,
+    encode_frame, DurabilityOptions, DurableFilter, DurableSharded, KillSite, KillSwitch,
+    ShardedPool, WalOp, WalRecord,
 };
 use mpcbf_hash::Murmur3;
 use mpcbf_variants::{DlCbf, Rcbf, ViCbf};
@@ -601,36 +601,34 @@ fn drill_one_kill(seed: u64, site: KillSite, op_hint: u64, byte_hint: u64) {
     std::fs::remove_dir_all(&dir).expect("scratch cleanup");
 }
 
-/// Kill-point scenario against the per-shard WAL layout: crash one
-/// shard's append mid-frame, recover all shards in parallel, and prove
-/// the acknowledged prefix survived bit-exactly.
-fn drill_sharded_kill(seed: u64, op_hint: u64, byte_hint: u64) {
-    let cfg = MpcbfConfig::builder()
-        .memory_bits(400_000)
-        .expected_items(4_000)
-        .hashes(3)
-        .seed(seed ^ 0x5D5D)
-        .build()
-        .expect("shape");
+/// Kill-point scenario against the per-shard WAL layout of any pool
+/// kind: crash one shard's append mid-frame, recover all shards in
+/// parallel, and prove every acknowledged key survived, the torn tail
+/// was reported and the recovered pool passes its integrity check.
+/// Returns the recovered pool and the acknowledged op prefix.
+fn drill_sharded_kill<P: ShardedPool>(
+    seed: u64,
+    op_hint: u64,
+    byte_hint: u64,
+    pool: impl Fn() -> P,
+) -> (P, Vec<DrillOp>) {
     let dir = drill_dir("sharded");
     let kill = KillSwitch::new();
     let opts = DurabilityOptions::new(&dir).kill(kill.clone());
-    let mut durable: DurableShardedMpcbf<Murmur3> =
-        DurableShardedMpcbf::create(ShardedMpcbf::new(cfg, 8), opts).expect("create");
-    let reference: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(cfg, 8);
+    let mut durable = DurableSharded::create(pool(), opts).expect("create");
+    let apply = |durable: &mut DurableSharded<P>, op: DrillOp| match op {
+        DrillOp::Insert(k) => (k, 1, durable.insert_bytes(&k.to_le_bytes())),
+        DrillOp::Remove(k) => (k, -1, durable.remove_bytes(&k.to_le_bytes())),
+    };
 
     let ops = drill_ops(seed ^ 0x77, 200);
     let kill_at = (op_hint % ops.len() as u64) as usize;
+    let mut acked: HashMap<u64, i64> = HashMap::new();
     for &op in &ops[..kill_at] {
-        match op {
-            DrillOp::Insert(k) => {
-                let _ = durable.insert_bytes(&k.to_le_bytes());
-                let _ = reference.insert_bytes(&k.to_le_bytes());
-            }
-            DrillOp::Remove(k) => {
-                let _ = durable.remove_bytes(&k.to_le_bytes());
-                let _ = reference.remove_bytes(&k.to_le_bytes());
-            }
+        match apply(&mut durable, op) {
+            (k, delta, Ok(())) => *acked.entry(k).or_insert(0) += delta,
+            (_, _, Err(e)) if e.is_kill() => panic!("unarmed op killed: {e}"),
+            (_, _, Err(_)) => {} // deterministic filter refusal: still acked
         }
     }
     let frame_len = encode_frame(&WalRecord {
@@ -639,28 +637,20 @@ fn drill_sharded_kill(seed: u64, op_hint: u64, byte_hint: u64) {
     })
     .len() as u64;
     kill.arm(KillSite::WalAppend, 1 + byte_hint % (frame_len - 1));
-    let victim = match ops[kill_at] {
-        DrillOp::Insert(k) | DrillOp::Remove(k) => k,
-    };
-    let err = match ops[kill_at] {
-        DrillOp::Insert(k) => durable.insert_bytes(&k.to_le_bytes()),
-        DrillOp::Remove(k) => durable.remove_bytes(&k.to_le_bytes()),
-    }
-    .expect_err("armed shard append must crash");
+    let (victim, _, result) = apply(&mut durable, ops[kill_at]);
+    let err = result.expect_err("armed shard append must crash");
     assert!(err.is_kill(), "expected a kill, got: {err}");
     drop(durable);
 
-    let (recovered, report) = DurableShardedMpcbf::open_or_recover(
-        DurabilityOptions::new(&dir),
-        || -> ShardedMpcbf<u64, Murmur3> { ShardedMpcbf::new(cfg, 8) },
-    )
-    .expect("sharded recovery must succeed");
-    for s in 0..reference.shard_count() {
-        assert_eq!(
-            recovered.inner().shard_raw_words(s),
-            reference.shard_raw_words(s),
-            "shard {s} must recover bit-identical (victim key {victim})"
-        );
+    let (recovered, report) = DurableSharded::open_or_recover(DurabilityOptions::new(&dir), &pool)
+        .expect("sharded recovery must succeed");
+    for (&key, &net) in &acked {
+        if net > 0 {
+            assert!(
+                recovered.contains_bytes(&key.to_le_bytes()),
+                "false negative for acknowledged key {key} (victim key {victim})"
+            );
+        }
     }
     assert!(
         !report.torn_tails.is_empty(),
@@ -668,15 +658,68 @@ fn drill_sharded_kill(seed: u64, op_hint: u64, byte_hint: u64) {
     );
     assert!(
         report.scrub_clean,
-        "recovered sharded image must scrub clean"
+        "recovered sharded pool must pass its integrity check"
     );
     std::fs::remove_dir_all(&dir).expect("scratch cleanup");
+    (recovered.into_service_parts().0, ops[..kill_at].to_vec())
+}
+
+/// The per-shard drill over the fixed-size pool, which must also recover
+/// bit-identical to a reference that applied the acknowledged prefix.
+fn drill_sharded_fixed(seed: u64, op_hint: u64, byte_hint: u64) {
+    let cfg = MpcbfConfig::builder()
+        .memory_bits(400_000)
+        .expected_items(4_000)
+        .hashes(3)
+        .seed(seed ^ 0x5D5D)
+        .build()
+        .expect("shape");
+    let pool = || ShardedMpcbf::<u64, Murmur3>::new(cfg, 8);
+    let (recovered, prefix) = drill_sharded_kill(seed, op_hint, byte_hint, pool);
+    let reference = pool();
+    for op in prefix {
+        let _ = match op {
+            DrillOp::Insert(k) => reference.insert_bytes(&k.to_le_bytes()),
+            DrillOp::Remove(k) => reference.remove_bytes(&k.to_le_bytes()),
+        };
+    }
+    for s in 0..reference.shard_count() {
+        assert_eq!(
+            recovered.shard_raw_words(s),
+            reference.shard_raw_words(s),
+            "shard {s} must recover bit-identical"
+        );
+    }
+}
+
+/// The per-shard drill over the elastic pool, sized so the op stream
+/// scales shards up: logged scale-ups and compactions replay with the
+/// keys. Returns the recovered pool's scale-up count.
+fn drill_sharded_elastic(seed: u64, op_hint: u64, byte_hint: u64) -> u64 {
+    let cfg = MpcbfConfig::builder()
+        .memory_bits(16_384)
+        .expected_items(100)
+        .hashes(3)
+        .seed(seed ^ 0xE1A5)
+        .build()
+        .expect("shape");
+    let policy = CapacityPolicy {
+        check_interval: 8,
+        ..CapacityPolicy::default()
+    };
+    let pool = || ElasticShardedMpcbf::<Murmur3>::manual(cfg, 4, policy).expect("manual pool");
+    let (recovered, _) = drill_sharded_kill(seed, op_hint, byte_hint, pool);
+    recovered
+        .verify()
+        .expect("recovered elastic pool must verify");
+    recovered.stats().scale_events
 }
 
 /// Drill 6: seeded kill-point injection. Every kill site is exercised
 /// at a plan-derived op index and torn-write byte budget, plus every
 /// explicit `Fault::CrashPoint` the plan drew, plus one per-shard WAL
-/// crash — each proving bit-exact recovery with zero false negatives.
+/// crash per pool kind — each proving zero false negatives on acked
+/// keys, and bit-exact recovery for every pool but the elastic one.
 fn drill_durability(plan: &FaultPlan) {
     let mut rng = StdRng::seed_from_u64(plan.seed ^ 0xDEAD);
     let mut scenarios = 0usize;
@@ -689,11 +732,13 @@ fn drill_durability(plan: &FaultPlan) {
         drill_one_kill(plan.seed, site, op_hint, byte_hint);
         scenarios += 1;
     }
-    drill_sharded_kill(plan.seed, rng.gen(), rng.gen());
-    scenarios += 1;
+    drill_sharded_fixed(plan.seed, rng.gen(), rng.gen());
+    let scale_ups = drill_sharded_elastic(plan.seed, rng.gen(), rng.gen());
+    scenarios += 2;
     println!(
         "  durability drill: {scenarios} kill-point scenarios \
-         (all {} sites + {} plan crash points + sharded) recovered bit-exact — OK",
+         (all {} sites + {} plan crash points + sharded fixed and elastic, \
+         {scale_ups} elastic scale-ups recovered) recovered — OK",
         KillSite::ALL.len(),
         plan.crash_points().count()
     );

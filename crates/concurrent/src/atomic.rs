@@ -225,8 +225,9 @@ impl<H: Hasher128> AtomicMpcbf<H> {
         self.insert_bytes(key.key_bytes().as_slice())
     }
 
-    /// Inserts raw bytes, rolling back on overflow (see
-    /// [`Self::insert_walk`] for the contended-rollback caveat).
+    /// Inserts raw bytes, rolling back on overflow. A rollback can fail
+    /// if another thread removes this key mid-rollback; that outcome is
+    /// reported as [`FilterError::CorruptionDetected`], never a panic.
     pub fn insert_bytes(&self, key: &[u8]) -> Result<(), FilterError> {
         let plan = self.plan(key);
         let ops = KernelOps::accelerated();

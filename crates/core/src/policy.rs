@@ -56,9 +56,10 @@ pub struct CapacityPolicy {
     /// in the elastic hot path (a probe walks every word, so it is too
     /// costly per insert). Default `256`.
     pub check_interval: u64,
-    /// Keys migrated per compaction step in auto-compacting mode; larger
-    /// batches finish migration sooner at the cost of longer pauses.
-    /// Default `32`.
+    /// Keys migrated per compaction step — inline in auto mode, and per
+    /// migration step of the durable wrapper and the server's shard
+    /// worker in manual mode. Larger batches finish migration sooner at
+    /// the cost of longer pauses. Default `32`.
     pub compact_batch: usize,
 }
 

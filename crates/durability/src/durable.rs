@@ -28,11 +28,13 @@ use std::time::Duration;
 
 /// A filter the durability layer can snapshot and restore: codec image
 /// in, codec image out, plus a post-recovery integrity cross-check.
-pub trait DurableImage: Sized {
+pub trait DurableImage {
     /// Full-state image through the codec encode path.
     fn encode_image(&self) -> Vec<u8>;
     /// Rebuilds the filter from an image, validating everything.
-    fn decode_image(buf: &[u8]) -> Result<Self, CodecError>;
+    fn decode_image(buf: &[u8]) -> Result<Self, CodecError>
+    where
+        Self: Sized;
     /// Post-recovery cross-check: structural verify plus a seal/scrub
     /// pass, proving the scrub machinery accepts the recovered image.
     fn verify_integrity(&self) -> bool;
@@ -362,9 +364,9 @@ pub(crate) fn apply_op<F: CountingFilter>(filter: &mut F, op: &WalOp) {
             let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
             let _ = filter.remove_batch_cost(&views);
         }
-        // Structural events belong to the elastic replay path
-        // (`elastic::apply_elastic_op`); a fixed-size filter has no
-        // generations to scale or compact.
+        // Structural events belong to the elastic pool
+        // (`ShardedPool::apply`); a fixed-size filter has no generations
+        // to scale or compact.
         WalOp::ScaleUp { .. } | WalOp::Compact => {}
     }
 }

@@ -15,7 +15,10 @@
 //! * [`DurableFilter`] — log→apply→ack wrapper over any
 //!   [`DurableImage`]-capable counting filter ([`mpcbf_core::Mpcbf`],
 //!   [`mpcbf_core::Cbf`], [`mpcbf_core::ResilientMpcbf`]).
-//! * [`DurableShardedMpcbf`] — one WAL per shard, recovery in parallel.
+//! * [`DurableSharded`] — one WAL per shard ([`ShardLog`]), recovery in
+//!   parallel, over any [`ShardedPool`]: the fixed-size pool
+//!   ([`DurableShardedMpcbf`]) or the elastic one
+//!   ([`DurableElasticSharded`]), whose scale-ups are logged too.
 //! * [`kill`] — seeded in-process crash injection for the drill matrix
 //!   (crash mid-append, mid-fsync, mid-snapshot-rename, …).
 //!
@@ -59,8 +62,8 @@
 mod error;
 
 pub mod durable;
-pub mod elastic;
 pub mod kill;
+pub mod pool;
 pub mod record;
 pub mod report;
 pub mod sharded;
@@ -68,11 +71,14 @@ pub mod snapshot;
 pub mod wal;
 
 pub use durable::{DurabilityOptions, DurableFilter, DurableImage};
-pub use elastic::{apply_elastic_op, DurableElasticSharded};
 pub use error::DurableError;
 pub use kill::{KillSite, KillSwitch};
+pub use pool::ShardedPool;
 pub use record::{decode_frame, encode_frame, FrameError, WalOp, WalRecord};
 pub use report::RecoveryReport;
-pub use sharded::{decode_envelope, encode_envelope, DurableShardedMpcbf};
+pub use sharded::{
+    decode_envelope, encode_envelope, group_by_shard, DurableElasticSharded, DurableSharded,
+    DurableShardedMpcbf, ShardLog,
+};
 pub use snapshot::SnapshotStore;
 pub use wal::{FsyncPolicy, TornTail, Wal, WalScan};

@@ -1,5 +1,5 @@
 //! The filter server: a thread-per-shard service over
-//! [`DurableShardedMpcbf`]'s decomposed parts.
+//! [`DurableSharded`]'s decomposed parts, for either pool kind.
 //!
 //! # Architecture
 //!
@@ -7,13 +7,13 @@
 //!            accept loop (one thread)
 //!                 │ one thread per connection
 //!                 ▼
-//!   connection threads ── queries ──► Arc<ShardedMpcbf>  (lock-striped,
-//!        │                                               read in place)
+//!   connection threads ── queries ──► Arc<dyn ShardedPool>  (lock-striped,
+//!        │                                                  read in place)
 //!        │ mutations, routed by home_shard(key)
 //!        ▼
 //!   mpsc queue per shard ──► shard worker thread
-//!                              owns that shard's Wal + seq counter:
-//!                              log → apply → reply(ack)
+//!                              owns that shard's ShardLog:
+//!                              log → apply → reply(ack) → capacity step
 //! ```
 //!
 //! Queries never touch a queue: connection threads read the shared
@@ -41,8 +41,8 @@ use mpcbf_core::metrics::{OpCost, OpKind, OpSink};
 use mpcbf_core::policy::CapacityPolicy;
 use mpcbf_core::MpcbfConfig;
 use mpcbf_durability::{
-    encode_envelope, DurabilityOptions, DurableElasticSharded, DurableError, DurableShardedMpcbf,
-    RecoveryReport, SnapshotStore, Wal, WalOp, WalRecord,
+    encode_envelope, group_by_shard, DurabilityOptions, DurableError, DurableSharded,
+    RecoveryReport, ShardLog, ShardedPool, SnapshotStore, WalOp,
 };
 use mpcbf_hash::Murmur3;
 use mpcbf_telemetry::Telemetry;
@@ -50,7 +50,7 @@ use std::fmt;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -112,65 +112,6 @@ impl From<io::Error> for ServerError {
 impl From<DurableError> for ServerError {
     fn from(e: DurableError) -> Self {
         ServerError::Durable(e)
-    }
-}
-
-/// The served filter: a fixed-size sharded pool or the autoscaling
-/// elastic pool. Both route keys by disjoint digest bits, expose the
-/// same query surface, and snapshot through the same envelope — the
-/// variants only diverge on the worker's structural duties.
-#[derive(Clone)]
-pub(crate) enum ServiceFilter {
-    /// Fixed-geometry pool ([`DurableShardedMpcbf`] parts).
-    Fixed(Arc<ShardedMpcbf<u64, Murmur3>>),
-    /// Autoscaling per-shard generation stacks
-    /// ([`DurableElasticSharded`] parts).
-    Elastic(Arc<ElasticShardedMpcbf<Murmur3>>),
-}
-
-impl ServiceFilter {
-    fn shard_count(&self) -> usize {
-        match self {
-            ServiceFilter::Fixed(f) => f.shard_count(),
-            ServiceFilter::Elastic(f) => f.shard_count(),
-        }
-    }
-
-    fn home_shard(&self, key: &[u8]) -> usize {
-        match self {
-            ServiceFilter::Fixed(f) => f.home_shard(key),
-            ServiceFilter::Elastic(f) => f.home_shard(key),
-        }
-    }
-
-    fn contains_bytes(&self, key: &[u8]) -> bool {
-        match self {
-            ServiceFilter::Fixed(f) => f.contains_bytes(key),
-            ServiceFilter::Elastic(f) => f.contains_bytes(key),
-        }
-    }
-
-    fn contains_batch_bytes(&self, keys: &[&[u8]]) -> Vec<bool> {
-        match self {
-            ServiceFilter::Fixed(f) => f.contains_batch_bytes(keys),
-            ServiceFilter::Elastic(f) => f.contains_batch_bytes(keys),
-        }
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        match self {
-            ServiceFilter::Fixed(f) => f.encode(),
-            ServiceFilter::Elastic(f) => f.encode(),
-        }
-    }
-
-    /// Word-overflow refusals (the elastic pool absorbs overload into
-    /// spill stores instead of refusing, so it reports none).
-    fn overflows(&self) -> u64 {
-        match self {
-            ServiceFilter::Fixed(f) => f.overflows(),
-            ServiceFilter::Elastic(_) => 0,
-        }
     }
 }
 
@@ -244,10 +185,10 @@ struct ServerCounters {
 
 /// State shared by the acceptor, connection threads, and coordinator.
 pub(crate) struct Shared {
-    filter: ServiceFilter,
-    /// Per-shard "reorganising" latches: raised by a shard worker from
-    /// the moment it commits to a logged scale-up until the migration
-    /// drains; dispatch sheds mutations for flagged shards.
+    filter: Arc<dyn ShardedPool>,
+    /// Per-shard "reorganising" latches: raised by a shard worker once it
+    /// commits a logged scale-up, lowered when the migration drains;
+    /// dispatch sheds mutations for flagged shards.
     scaling: Vec<Arc<AtomicBool>>,
     /// Cleared at teardown so worker queues close once connection
     /// threads (which hold clones) have exited.
@@ -343,7 +284,7 @@ impl Shared {
         } else if st.sync_failed {
             Err("a shard fsync failed; snapshot abandoned".to_string())
         } else {
-            let envelope = encode_envelope(&st.seqs, &self.filter.encode());
+            let envelope = encode_envelope(&st.seqs, &self.filter.encode_image());
             let snap_seq = st.seqs.iter().copied().max().unwrap_or(0);
             self.snapshots
                 .write(snap_seq, &envelope)
@@ -365,33 +306,6 @@ impl Shared {
         let snap = self.telemetry.snapshot();
         let ops: u64 = snap.kinds().iter().map(|(_, k)| k.ops).sum();
         let r = &self.recovery;
-        let mode_fields = match &self.filter {
-            ServiceFilter::Fixed(pool) => {
-                let locks = pool.lock_stats();
-                format!(
-                    ",\"lock_acquisitions\":{},\"lock_contended\":{}",
-                    locks.acquisitions, locks.contended
-                )
-            }
-            ServiceFilter::Elastic(pool) => {
-                let st = pool.stats();
-                format!(
-                    concat!(
-                        ",\"elastic\":{{\"generations\":{},\"scale_events\":{},",
-                        "\"compactions\":{},\"migrated_keys\":{},\"fpr_envelope\":{},",
-                        "\"max_shard_fpr\":{},\"compacting_shards\":{},\"max_pressure\":{}}}"
-                    ),
-                    st.generations,
-                    st.scale_events,
-                    st.compactions,
-                    st.migrated_keys,
-                    st.fpr_envelope,
-                    st.max_shard_fpr,
-                    st.compacting_shards,
-                    st.max_pressure,
-                )
-            }
-        };
         format!(
             concat!(
                 "{{\"shards\":{},\"mode\":\"{}\",\"fsync\":\"{}\",\"ops\":{},",
@@ -401,10 +315,7 @@ impl Shared {
                 "\"torn_tails\":{},\"segments_dropped\":{},\"scrub_clean\":{}}}{}}}"
             ),
             self.filter.shard_count(),
-            match &self.filter {
-                ServiceFilter::Fixed(_) => "fixed",
-                ServiceFilter::Elastic(_) => "elastic",
-            },
+            self.filter.mode(),
             self.fsync_name,
             ops,
             self.filter.overflows(),
@@ -418,7 +329,7 @@ impl Shared {
             r.torn_tails.len(),
             r.segments_dropped,
             r.scrub_clean,
-            mode_fields,
+            self.filter.stats_fields(),
         )
     }
 
@@ -447,46 +358,19 @@ impl Shared {
             .insert("server_shards".into(), self.filter.shard_count() as f64);
         snap.gauges
             .insert("filter_overflows".into(), self.filter.overflows() as f64);
-        if let ServiceFilter::Fixed(pool) = &self.filter {
-            let locks = pool.lock_stats();
-            snap.counters
-                .insert("filter_lock_acquisitions".into(), locks.acquisitions);
-            snap.counters
-                .insert("filter_lock_contended".into(), locks.contended);
-        }
-        if let ServiceFilter::Elastic(pool) = &self.filter {
-            let st = pool.stats();
-            snap.counters
-                .insert("elastic_scale_events".into(), st.scale_events);
-            snap.counters
-                .insert("elastic_compactions".into(), st.compactions);
-            snap.counters
-                .insert("elastic_migrated_keys".into(), st.migrated_keys);
-            snap.gauges
-                .insert("elastic_generations".into(), st.generations as f64);
-            snap.gauges
-                .insert("elastic_fpr_envelope".into(), st.fpr_envelope);
-            snap.gauges
-                .insert("elastic_max_shard_fpr".into(), st.max_shard_fpr);
-            snap.gauges.insert(
-                "elastic_compacting_shards".into(),
-                st.compacting_shards as f64,
-            );
-            snap.gauges
-                .insert("elastic_max_pressure".into(), st.max_pressure);
-        }
+        self.filter.export_metrics(&mut snap);
         mpcbf_telemetry::prometheus_text(&snap)
     }
 }
 
-/// One shard's single-writer loop: owns the WAL and sequence counter.
-/// In elastic mode it also owns the shard's structural lifecycle: it
-/// logs and applies scale-ups, and drains migrations between jobs.
+/// One shard's single-writer loop: owns the shard's [`ShardLog`] and
+/// runs the pool's capacity step after each logged mutation. While an
+/// elastic shard migrates, the worker raises the shed latch and drains
+/// the migration between jobs.
 struct ShardWorker {
     shard: usize,
-    wal: Wal,
-    seq: u64,
-    filter: ServiceFilter,
+    log: ShardLog,
+    filter: Arc<dyn ShardedPool>,
     /// Shared with dispatch: raised while this shard reorganises.
     scaling: Arc<AtomicBool>,
 }
@@ -495,20 +379,15 @@ impl ShardWorker {
     fn run(mut self, rx: Receiver<ShardJob>) {
         // Recovery may hand back a shard mid-migration; resume draining
         // (and shedding) instead of forgetting the in-flight work.
-        if let ServiceFilter::Elastic(pool) = &self.filter {
-            if pool.with_shard(self.shard, |f| f.compacting()) {
-                self.scaling.store(true, Ordering::SeqCst);
-            }
-        }
+        self.step_migration();
         loop {
+            // While the shard reorganises, queued work goes first and an
+            // empty queue steps the migration back to back.
             let job = if self.scaling.load(Ordering::Relaxed) {
-                // Interleave migration batches with queued work: a busy
-                // queue still drains the migration one timeout at a
-                // time, an idle one drains it at full speed.
-                match rx.recv_timeout(Duration::from_millis(1)) {
+                match rx.try_recv() {
                     Ok(job) => Some(job),
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+                    Err(TryRecvError::Empty) => None,
+                    Err(TryRecvError::Disconnected) => break,
                 }
             } else {
                 match rx.recv() {
@@ -516,160 +395,96 @@ impl ShardWorker {
                     Err(_) => break,
                 }
             };
-            let Some(job) = job else {
-                self.step_migration();
-                continue;
-            };
             match job {
-                ShardJob::Apply { op, reply } => {
-                    let record = WalRecord {
-                        seq: self.seq + 1,
-                        op,
-                    };
-                    match self.wal.append(&record) {
-                        Ok(()) => {
-                            self.seq += 1;
-                            let codes = apply_codes(&self.filter, &record.op);
-                            let _ = reply.send(ShardReply {
-                                shard: self.shard,
-                                codes,
-                                error: None,
-                            });
-                            self.drive_capacity();
-                        }
-                        Err(e) => {
-                            let _ = reply.send(ShardReply {
-                                shard: self.shard,
-                                codes: Vec::new(),
-                                error: Some(e.to_string()),
-                            });
-                        }
-                    }
-                }
-                ShardJob::Sync { reply } => {
-                    let error = self.wal.sync().err().map(|e| e.to_string());
-                    let _ = reply.send(ShardReply {
-                        shard: self.shard,
-                        codes: Vec::new(),
-                        error,
-                    });
-                }
-                ShardJob::Checkpoint(gate) => {
-                    let synced = self.wal.sync().is_ok();
-                    let truncate;
-                    {
-                        let mut st = gate.state.lock().expect("gate poisoned");
-                        st.seqs[self.shard] = self.seq;
-                        if !synced {
-                            st.sync_failed = true;
-                        }
-                        st.arrived += 1;
-                        gate.cv.notify_all();
-                        while !st.released {
-                            st = gate.cv.wait(st).expect("gate poisoned");
-                        }
-                        truncate = st.truncate;
-                    }
-                    if truncate {
-                        let _ = self.wal.rotate(self.seq + 1);
-                        let _ = self.wal.purge_below(self.seq + 1);
-                    }
-                }
+                Some(job) => self.handle(job),
+                None => self.step_migration(),
             }
         }
         // Queue closed: graceful stop. Flush everything acknowledged
         // under a relaxed policy before the thread exits. An in-flight
         // migration is persisted by the teardown checkpoint's image and
         // resumes after recovery.
-        let _ = self.wal.sync();
+        let _ = self.log.sync();
     }
 
-    /// After a mutation lands: if the shard parked a scale plan, commit
-    /// to it — log the exact spec, push the generation, log the
-    /// compaction marker, start migrating — and raise the shed latch
-    /// until the migration drains.
-    fn drive_capacity(&mut self) {
-        let ServiceFilter::Elastic(pool) = &self.filter else {
-            return;
-        };
-        let Some(spec) = pool.with_shard(self.shard, |f| f.scale_plan()) else {
-            return;
-        };
-        let scale = WalRecord {
-            seq: self.seq + 1,
-            op: WalOp::ScaleUp {
-                memory_bits: spec.memory_bits,
-                expected_items: spec.expected_items,
-            },
-        };
-        if self.wal.append(&scale).is_err() {
-            // The plan stays parked; the next mutation retries the log.
-            return;
-        }
-        self.seq += 1;
-        self.scaling.store(true, Ordering::SeqCst);
-        // An unshapeable spec fails identically during replay, so the
-        // log and the filter cannot disagree.
-        let _ = pool.with_shard(self.shard, |f| f.apply_scale(&spec));
-        let compact = WalRecord {
-            seq: self.seq + 1,
-            op: WalOp::Compact,
-        };
-        if self.wal.append(&compact).is_ok() {
-            self.seq += 1;
-            pool.with_shard(self.shard, |f| {
-                f.begin_compaction();
-            });
-        }
-        self.step_migration();
-    }
-
-    /// Moves one batch of keys into the active generation; drops the
-    /// shed latch once the migration is drained.
-    fn step_migration(&mut self) {
-        let ServiceFilter::Elastic(pool) = &self.filter else {
-            self.scaling.store(false, Ordering::SeqCst);
-            return;
-        };
-        let still_going = pool.with_shard(self.shard, |f| {
-            if f.compacting() {
-                let batch = f.policy().compact_batch.max(64);
-                f.step_compaction(batch);
+    fn handle(&mut self, job: ShardJob) {
+        match job {
+            ShardJob::Apply { op, reply } => {
+                let (codes, error) = match self.log.append(op) {
+                    Ok(record) => {
+                        let results = self.filter.apply(self.shard, &record.op);
+                        (results.iter().map(key_code).collect(), None)
+                    }
+                    Err(e) => (Vec::new(), Some(e.to_string())),
+                };
+                let logged = error.is_none();
+                let _ = reply.send(ShardReply {
+                    shard: self.shard,
+                    codes,
+                    error,
+                });
+                // A failed scale-up append leaves the plan parked: the
+                // next mutation retries it.
+                if logged && matches!(self.filter.scale_up(self.shard, &mut self.log), Ok(true)) {
+                    self.step_migration();
+                }
             }
-            f.compacting()
-        });
-        if !still_going {
-            self.scaling.store(false, Ordering::SeqCst);
+            ShardJob::Sync { reply } => {
+                let error = self.log.sync().err().map(|e| e.to_string());
+                let _ = reply.send(ShardReply {
+                    shard: self.shard,
+                    codes: Vec::new(),
+                    error,
+                });
+            }
+            ShardJob::Checkpoint(gate) => {
+                let synced = self.log.sync().is_ok();
+                let truncate;
+                {
+                    let mut st = gate.state.lock().expect("gate poisoned");
+                    st.seqs[self.shard] = self.log.seq();
+                    if !synced {
+                        st.sync_failed = true;
+                    }
+                    st.arrived += 1;
+                    gate.cv.notify_all();
+                    while !st.released {
+                        st = gate.cv.wait(st).expect("gate poisoned");
+                    }
+                    truncate = st.truncate;
+                }
+                if truncate {
+                    let _ = self.log.truncate();
+                }
+            }
         }
+    }
+
+    /// Moves one batch of an in-flight migration; the shed latch stays
+    /// raised exactly while keys remain.
+    fn step_migration(&mut self) {
+        let migrating = self.filter.step_migration(self.shard);
+        self.scaling.store(migrating, Ordering::SeqCst);
     }
 }
 
-/// Applies a logged op to the filter, collecting per-key wire codes in
-/// the op's own key order.
-fn apply_codes(filter: &ServiceFilter, op: &WalOp) -> Vec<u8> {
-    match (filter, op) {
-        (ServiceFilter::Fixed(f), WalOp::Insert(key)) => vec![key_code(&f.insert_bytes(key))],
-        (ServiceFilter::Fixed(f), WalOp::Remove(key)) => vec![key_code(&f.remove_bytes(key))],
-        (ServiceFilter::Fixed(f), WalOp::InsertBatch(keys)) => {
-            let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-            f.insert_batch_bytes(&views).iter().map(key_code).collect()
-        }
-        (ServiceFilter::Fixed(f), WalOp::RemoveBatch(keys)) => {
-            let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-            f.remove_batch_bytes(&views).iter().map(key_code).collect()
-        }
-        (ServiceFilter::Elastic(f), WalOp::Insert(key)) => vec![key_code(&f.insert_bytes(key))],
-        (ServiceFilter::Elastic(f), WalOp::Remove(key)) => vec![key_code(&f.remove_bytes(key))],
-        (ServiceFilter::Elastic(f), WalOp::InsertBatch(keys)) => {
-            keys.iter().map(|k| key_code(&f.insert_bytes(k))).collect()
-        }
-        (ServiceFilter::Elastic(f), WalOp::RemoveBatch(keys)) => {
-            keys.iter().map(|k| key_code(&f.remove_bytes(k))).collect()
-        }
-        // Structural records are authored by the worker itself, never
-        // dispatched as jobs; they only flow through recovery replay.
-        (_, WalOp::ScaleUp { .. } | WalOp::Compact) => Vec::new(),
-    }
+/// The parts the server runs: the shared pool, one log per shard
+/// worker, the snapshot store, and what recovery found.
+type ServiceParts = (
+    Arc<dyn ShardedPool>,
+    Vec<ShardLog>,
+    SnapshotStore,
+    RecoveryReport,
+);
+
+/// Recovers a durable pool and splits it into [`ServiceParts`].
+fn service_parts<P: ShardedPool + 'static>(
+    opts: DurabilityOptions,
+    fallback: impl FnOnce() -> P,
+) -> Result<ServiceParts, DurableError> {
+    let (durable, recovery) = DurableSharded::open_or_recover(opts, fallback)?;
+    let (pool, logs, snapshots) = durable.into_service_parts();
+    Ok((Arc::new(pool), logs, snapshots, recovery))
 }
 
 /// A running filter server. Stop it with [`Server::shutdown`] (or send
@@ -699,33 +514,15 @@ impl Server {
         } = config;
         let fsync_name = durability.fsync.name();
         let snapshot_every = durability.snapshot_every;
-        let (filter, wals, seqs, snapshots, recovery) = if elastic {
-            let (durable, recovery) =
-                DurableElasticSharded::<Murmur3>::open_or_recover(durability, || {
-                    ElasticShardedMpcbf::manual(filter, shards, CapacityPolicy::default())
-                        .expect("default capacity policy is valid")
-                })?;
-            let (pool, wals, seqs, snapshots) = durable.into_service_parts();
-            (
-                ServiceFilter::Elastic(Arc::new(pool)),
-                wals,
-                seqs,
-                snapshots,
-                recovery,
-            )
+        let (filter, logs, snapshots, recovery) = if elastic {
+            service_parts(durability, || {
+                ElasticShardedMpcbf::<Murmur3>::manual(filter, shards, CapacityPolicy::default())
+                    .expect("default capacity policy is valid")
+            })?
         } else {
-            let (durable, recovery) =
-                DurableShardedMpcbf::<Murmur3>::open_or_recover(durability, || {
-                    ShardedMpcbf::new(filter, shards)
-                })?;
-            let (pool, wals, seqs, snapshots) = durable.into_service_parts();
-            (
-                ServiceFilter::Fixed(Arc::new(pool)),
-                wals,
-                seqs,
-                snapshots,
-                recovery,
-            )
+            service_parts(durability, || {
+                ShardedMpcbf::<u64, Murmur3>::new(filter, shards)
+            })?
         };
         let telemetry = Arc::new(Telemetry::new());
         recovery.record_to(&telemetry);
@@ -741,18 +538,17 @@ impl Server {
             None => None,
         };
 
-        let mut txs = Vec::with_capacity(wals.len());
-        let mut workers = Vec::with_capacity(wals.len());
-        let mut scaling = Vec::with_capacity(wals.len());
-        for (shard, (wal, seq)) in wals.into_iter().zip(seqs).enumerate() {
+        let mut txs = Vec::with_capacity(logs.len());
+        let mut workers = Vec::with_capacity(logs.len());
+        let mut scaling = Vec::with_capacity(logs.len());
+        for (shard, log) in logs.into_iter().enumerate() {
             let (tx, rx) = channel();
             txs.push(tx);
             let flag = Arc::new(AtomicBool::new(false));
             scaling.push(flag.clone());
             let worker = ShardWorker {
                 shard,
-                wal,
-                seq,
+                log,
                 filter: filter.clone(),
                 scaling: flag,
             };
@@ -966,9 +762,10 @@ fn read_frame_polling(stream: &mut TcpStream, shutdown: &AtomicBool) -> Option<V
     }
 }
 
-/// The suggested client backoff while a shard reorganises. Migration
-/// batches drain on a millisecond cadence, so single-digit-millisecond
-/// retries converge quickly without hammering the dispatch path.
+/// The suggested client backoff while a shard reorganises. An idle
+/// worker drains migration batches back to back, so
+/// single-digit-millisecond retries converge quickly without hammering
+/// the dispatch path.
 const RETRY_AFTER_MS: u32 = 5;
 
 fn shed_response() -> Vec<u8> {
@@ -1178,13 +975,7 @@ fn mutate_batch(shared: &Shared, keys: Vec<Vec<u8>>, insert: bool) -> Vec<u8> {
     }
     // Route each key to its home shard, remembering where it came from
     // so the reply codes land back in request order.
-    let mut per_shard: Vec<Vec<Vec<u8>>> = vec![Vec::new(); txs.len()];
-    let mut origin: Vec<Vec<u32>> = vec![Vec::new(); txs.len()];
-    for (i, key) in keys.into_iter().enumerate() {
-        let shard = shared.filter.home_shard(&key);
-        per_shard[shard].push(key);
-        origin[shard].push(i as u32);
-    }
+    let (per_shard, origin) = group_by_shard(shared.filter.as_ref(), keys);
     // A batch is one all-or-nothing frame per shard: if any touched
     // shard is reorganising, shed the whole batch (partial acks would
     // force the client to split the batch to retry).
@@ -1231,7 +1022,7 @@ fn mutate_batch(shared: &Shared, keys: Vec<Vec<u8>>, insert: bool) -> Vec<u8> {
                     continue;
                 }
                 for (j, &ki) in origin[reply.shard].iter().enumerate() {
-                    codes[ki as usize] = reply.codes.get(j).copied().unwrap_or(0);
+                    codes[ki] = reply.codes.get(j).copied().unwrap_or(0);
                 }
             }
             Err(_) => {

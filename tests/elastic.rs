@@ -149,9 +149,11 @@ fn durable_elastic_recovers_a_crash_mid_scale_up() {
     let opts = || DurabilityOptions::new(&dir).fsync(FsyncPolicy::Always);
     let mut acked: Vec<Vec<u8>> = Vec::new();
     {
-        let mut durable: DurableElasticSharded<Murmur3> =
-            DurableElasticSharded::create(config, 2, CapacityPolicy::default(), opts())
-                .expect("create durable elastic");
+        let mut durable: DurableElasticSharded<Murmur3> = DurableElasticSharded::create(
+            ElasticShardedMpcbf::manual(config, 2, CapacityPolicy::default()).expect("manual pool"),
+            opts(),
+        )
+        .expect("create durable elastic");
         // Push far past capacity; stop the moment a migration is in
         // flight so the "crash" lands mid-scale-up.
         for i in 0u64..40_000 {
