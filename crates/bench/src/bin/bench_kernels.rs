@@ -1,27 +1,29 @@
-//! Portable-vs-dispatched kernel microbenchmarks, emitted as
+//! Portable-vs-accelerated kernel microbenchmarks, emitted as
 //! `BENCH_kernels.json`.
 //!
 //! Three levels of the stack are measured in one process:
 //!
 //! 1. **u64 primitives** — `rank` / `rank_range` / `insert_zero` /
-//!    `remove_bit` through the runtime-dispatched kernel against their
-//!    portable baselines (BZHI/PDEP/PEXT vs. mask-and-shift);
-//! 2. **HCBF word walks** — the hot (carried-rank, kernel-dispatched)
-//!    update and query paths against the `*_reference` walks, on `u64` and
-//!    on the 512-bit wide word;
+//!    `remove_bit` through the `*_routed` tier under
+//!    [`KernelOps::accelerated`] against [`KernelOps::portable`]
+//!    (BZHI/PDEP/PEXT vs. mask-and-shift; the `dispatched` columns);
+//! 2. **HCBF word walks** — the update walk (increment + decrement)
+//!    under the accelerated bundle against the portable one, and the
+//!    query walk (which calls no kernel primitive) against its
+//!    `*_reference` loop, on `u64` and on the 512-bit wide word;
 //! 3. **MPCBF-1 batch query** — end-to-end queries/sec, scalar vs. the
 //!    fused batch-64 pipeline (reusable plan buffer, interleaved word
 //!    walks), to track the speedup against the PR 1 baseline (1.51x in
 //!    `BENCH_batch.json`).
 //!
-//! The JSON also records the per-operation kernel routing the batch
-//! pipeline resolved ([`Kernel::batch`]): query walks always take the
-//! branchless portable kernel, update walks take the accelerated kernel
-//! when the CPU offers one. Run from the repo root.
+//! The JSON also records the per-operation kernel routing: query walks
+//! take no kernel (the portable bit tests), update walks take
+//! [`KernelOps::accelerated`], BMI2 when the CPU offers it. Run from the
+//! repo root.
 
 use mpcbf_bench::report::fixed;
 use mpcbf_bench::Args;
-use mpcbf_bitvec::{kernel, Kernel, Word, W512};
+use mpcbf_bitvec::{kernel, Kernel, KernelOps, Word, W512};
 use mpcbf_core::hcbf::HcbfWord;
 use mpcbf_core::{Filter, Mpcbf, MpcbfConfig, PlanBuffer};
 use mpcbf_hash::Murmur3;
@@ -100,21 +102,26 @@ fn bench_primitives(budget: Duration) -> Vec<Pair> {
             });
         }};
     }
-    prim!("rank", kernel::rank_u64_portable, kernel::rank_u64);
+    let (portable, accelerated) = (KernelOps::portable(), KernelOps::accelerated());
+    prim!(
+        "rank",
+        |b, i| kernel::rank_u64_routed(b, i, &portable),
+        |b, i| kernel::rank_u64_routed(b, i, &accelerated)
+    );
     prim!(
         "rank_range",
-        |b, i| kernel::rank_range_u64_portable(b, i / 2, i),
-        |b, i| kernel::rank_range_u64(b, i / 2, i)
+        |b, i| kernel::rank_range_u64_routed(b, i / 2, i, &portable),
+        |b, i| kernel::rank_range_u64_routed(b, i / 2, i, &accelerated)
     );
     prim!(
         "insert_zero",
-        kernel::insert_zero_u64_portable,
-        kernel::insert_zero_u64
+        |b, i| kernel::insert_zero_u64_routed(b, i, &portable),
+        |b, i| kernel::insert_zero_u64_routed(b, i, &accelerated)
     );
     prim!(
         "remove_bit",
-        kernel::remove_bit_u64_portable,
-        kernel::remove_bit_u64
+        |b, i| kernel::remove_bit_u64_routed(b, i, &portable),
+        |b, i| kernel::remove_bit_u64_routed(b, i, &accelerated)
     );
     out
 }
@@ -129,26 +136,20 @@ fn bench_word_walks<W: Word>(label: &'static str, b1: u32, budget: Duration) -> 
     let n = positions.len() as u64;
 
     let mut word: HcbfWord<W> = HcbfWord::new();
-    let update_hot = ops_per_sec(budget, || {
-        for &p in &positions {
-            word.increment(p, b1).expect("capacity");
-        }
-        for &p in &positions {
-            word.decrement(p, b1).expect("present");
-        }
-        black_box(&word);
-        2 * n
-    });
-    let update_ref = ops_per_sec(budget, || {
-        for &p in &positions {
-            word.increment_reference(p, b1).expect("capacity");
-        }
-        for &p in &positions {
-            word.decrement_reference(p, b1).expect("present");
-        }
-        black_box(&word);
-        2 * n
-    });
+    let mut update = |ops: KernelOps| {
+        ops_per_sec(budget, || {
+            for &p in &positions {
+                word.increment_routed(p, b1, &ops).expect("capacity");
+            }
+            for &p in &positions {
+                word.decrement_routed(p, b1, &ops).expect("present");
+            }
+            black_box(&word);
+            2 * n
+        })
+    };
+    let update_portable = update(KernelOps::portable());
+    let update_accelerated = update(KernelOps::accelerated());
 
     // Query against a word holding half the positions: mixed hits/misses.
     let mut loaded: HcbfWord<W> = HcbfWord::new();
@@ -166,7 +167,7 @@ fn bench_word_walks<W: Word>(label: &'static str, b1: u32, budget: Duration) -> 
         })
         .collect();
     let qn = probes.len() as u64;
-    let query_hot = ops_per_sec(budget, || {
+    let query_walk = ops_per_sec(budget, || {
         let mut acc = 0u64;
         for p in &probes {
             acc += u64::from(loaded.query_all(p).0);
@@ -187,13 +188,13 @@ fn bench_word_walks<W: Word>(label: &'static str, b1: u32, budget: Duration) -> 
     (
         Pair {
             name: "update",
-            portable: update_ref,
-            dispatched: update_hot,
+            portable: update_portable,
+            dispatched: update_accelerated,
         },
         Pair {
             name: "query",
             portable: query_ref,
-            dispatched: query_hot,
+            dispatched: query_walk,
         },
     )
 }
@@ -255,7 +256,6 @@ fn main() {
     let (w512_update, w512_query) = bench_word_walks::<W512>("w512", 330, budget);
     let (scalar, batch64, preload_refused) = bench_mpcbf1_batch(&args, budget);
 
-    let routing = Kernel::batch();
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(
@@ -272,8 +272,8 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"batch_routing\": {{\"query_kernel\": \"{}\", \"update_kernel\": \"{}\"}},",
-        routing.query.kernel().name(),
-        routing.update.kernel().name(),
+        KernelOps::portable().kernel().name(),
+        KernelOps::accelerated().kernel().name(),
     );
     json.push_str("  \"primitives_u64\": [\n");
     for (i, p) in primitives.iter().enumerate() {

@@ -21,10 +21,17 @@
 //! [`Kernel::active`] picks the implementation **once per process**: the
 //! first call probes the CPU (`is_x86_feature_detected!`) and the
 //! `MPCBF_KERNEL` environment override, then caches the verdict in a
-//! static. Every later call is a single relaxed atomic load and a
-//! perfectly-predicted branch — there is no per-call feature probe, and no
-//! `-C target-cpu` flag is needed for release binaries to use the best
-//! kernel on the machine they actually run on.
+//! static. There is no per-call feature probe, and no `-C target-cpu` flag
+//! is needed for release binaries to use the best kernel on the machine
+//! they actually run on.
+//!
+//! Primitives come in two tiers. The plain [`Word`](crate::Word) methods
+//! are the portable baseline. The `*_routed` tier takes a [`KernelOps`]
+//! resolved once per operation or batch and branches on its tag — a
+//! register compare, not an atomic load per primitive. Update walks take
+//! [`KernelOps::accelerated`]: `BENCH_kernels.json` measures the BMI2
+//! update walks at 1.2–1.3x portable, while the isolated primitives and
+//! the query walks (which call no primitive) gain nothing.
 //!
 //! Set `MPCBF_KERNEL=portable` to force the baseline (CI runs the
 //! differential suite on both legs); `MPCBF_KERNEL=bmi2` requests the
@@ -35,8 +42,9 @@
 //!
 //! The `unsafe` here is exactly the set of `#[target_feature(enable =
 //! "bmi2,popcnt")]` functions below. Each is only reachable through the
-//! dispatchers in this module, and every dispatcher guards the call with
-//! `Kernel::active() == Kernel::Bmi2`, which is only ever cached after
+//! `*_routed` dispatchers in this module, and every dispatcher guards the
+//! call with the tag of a [`KernelOps`], which is `Kernel::Bmi2` only when
+//! built from [`Kernel::active`] — a verdict cached only after
 //! `is_x86_feature_detected!("bmi2")` (and `"popcnt"`) returned true on
 //! this CPU. The intrinsics themselves dereference nothing — they are pure
 //! register arithmetic — so the *only* safety obligation is CPU support,
@@ -135,37 +143,23 @@ fn detect() -> Kernel {
     Kernel::Portable
 }
 
-/// A fn-pointer bundle of the four u64 primitives, resolved once.
+/// The kernel a word walk routes its primitives to, resolved once per
+/// operation or batch.
 ///
-/// This is the batch-level dispatch surface: [`Kernel::batch`] resolves the
-/// per-operation routing a single time, and the walks then either call the
-/// bundled pointers or (for the inlined hot paths) branch on the carried
-/// [`KernelOps::kernel`] tag — a register compare instead of the relaxed
-/// atomic load [`Kernel::active`] costs on every word probe.
+/// Walks take a `&KernelOps` and branch on its tag — a register compare
+/// per primitive instead of the relaxed atomic load [`Kernel::active`]
+/// costs. [`KernelOps::portable`] always routes to the mask-and-shift
+/// baseline (and, once inlined, the tag branch folds away at compile
+/// time); [`KernelOps::accelerated`] routes update walks to BMI2 where
+/// the CPU has it.
 ///
 /// The `kernel` field is private on purpose: an accelerated bundle can only
 /// be constructed by [`KernelOps::accelerated`] *after* runtime detection
 /// confirmed BMI2 + POPCNT, so carrying the tag is a proof token the
-/// dispatchers below may trust.
-#[derive(Clone, Copy)]
+/// `*_routed` dispatchers below may trust.
+#[derive(Debug, Clone, Copy)]
 pub struct KernelOps {
     kernel: Kernel,
-    /// Ones strictly below bit `i` (`i ≥ 64` saturates).
-    pub rank: fn(u64, u32) -> u32,
-    /// Ones in `[a, b)`.
-    pub rank_range: fn(u64, u32, u32) -> u32,
-    /// Insert a zero at `pos`, shifting the tail up one.
-    pub insert_zero: fn(u64, u32) -> u64,
-    /// Remove the bit at `pos`, shifting the tail down one.
-    pub remove_bit: fn(u64, u32) -> u64,
-}
-
-impl core::fmt::Debug for KernelOps {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("KernelOps")
-            .field("kernel", &self.kernel)
-            .finish()
-    }
 }
 
 impl KernelOps {
@@ -174,97 +168,24 @@ impl KernelOps {
     pub fn portable() -> KernelOps {
         KernelOps {
             kernel: Kernel::Portable,
-            rank: rank_u64_portable,
-            rank_range: rank_range_u64_portable,
-            insert_zero: insert_zero_u64_portable,
-            remove_bit: remove_bit_u64_portable,
         }
     }
 
     /// The best available bundle for *update* walks: BMI2 when this CPU
     /// has it (honouring the `MPCBF_KERNEL` override through
-    /// [`Kernel::active`]), the portable bundle otherwise.
+    /// [`Kernel::active`]), the portable bundle otherwise. Query walks
+    /// test single bits and call no primitive, so they take no bundle.
     #[inline]
     pub fn accelerated() -> KernelOps {
-        #[cfg(target_arch = "x86_64")]
-        if Kernel::active().is_accelerated() {
-            return KernelOps {
-                kernel: Kernel::Bmi2,
-                rank: bmi2_checked::rank,
-                rank_range: bmi2_checked::rank_range,
-                insert_zero: bmi2_checked::insert_zero,
-                remove_bit: bmi2_checked::remove_bit,
-            };
+        KernelOps {
+            kernel: Kernel::active(),
         }
-        KernelOps::portable()
     }
 
     /// Which kernel this bundle routes to.
     #[inline]
     pub fn kernel(&self) -> Kernel {
         self.kernel
-    }
-}
-
-/// Per-operation kernel routing for one batch, resolved by
-/// [`Kernel::batch`].
-///
-/// Queries and updates want different kernels: the rank/insert/remove
-/// primitives only pay off inside update walks (the word is already in a
-/// register and the traversal is popcount-bound), while query walks are
-/// single-bit tests that the portable short-circuit loop wins outright —
-/// BENCH_kernels.json showed BMI2 query walks at 0.73x (u64) and 0.43x
-/// (512-bit). So `query` is *always* the portable bundle and `update` is
-/// accelerated when the CPU allows.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchKernel {
-    /// Bundle for query-side walks: always portable by construction.
-    pub query: KernelOps,
-    /// Bundle for update-side walks: BMI2 when detected.
-    pub update: KernelOps,
-}
-
-impl Kernel {
-    /// Resolves per-operation kernel routing once for a whole batch — one
-    /// atomic load total, instead of one per word probe. See
-    /// [`BatchKernel`] for why queries and updates route differently.
-    #[inline]
-    pub fn batch() -> BatchKernel {
-        BatchKernel {
-            query: KernelOps::portable(),
-            update: KernelOps::accelerated(),
-        }
-    }
-}
-
-/// Safe wrappers over the BMI2 intrinsics, only ever reachable through a
-/// [`KernelOps::accelerated`] bundle (whose constructor re-checked
-/// detection), so the target-feature obligation is discharged before any
-/// pointer to these functions exists.
-#[cfg(target_arch = "x86_64")]
-mod bmi2_checked {
-    pub(super) fn rank(bits: u64, i: u32) -> u32 {
-        debug_assert!(super::Kernel::active().is_accelerated());
-        // SAFETY: only reachable via a bundle built after detection.
-        unsafe { super::bmi2::rank_u64(bits, i) }
-    }
-
-    pub(super) fn rank_range(bits: u64, a: u32, b: u32) -> u32 {
-        debug_assert!(super::Kernel::active().is_accelerated());
-        // SAFETY: only reachable via a bundle built after detection.
-        unsafe { super::bmi2::rank_range_u64(bits, a, b) }
-    }
-
-    pub(super) fn insert_zero(bits: u64, pos: u32) -> u64 {
-        debug_assert!(super::Kernel::active().is_accelerated());
-        // SAFETY: only reachable via a bundle built after detection.
-        unsafe { super::bmi2::insert_zero_u64(bits, pos) }
-    }
-
-    pub(super) fn remove_bit(bits: u64, pos: u32) -> u64 {
-        debug_assert!(super::Kernel::active().is_accelerated());
-        // SAFETY: only reachable via a bundle built after detection.
-        unsafe { super::bmi2::remove_bit_u64(bits, pos) }
     }
 }
 
@@ -358,57 +279,8 @@ mod bmi2 {
     }
 }
 
-/// Dispatched `rank`: ones strictly below bit `i` (`i ≥ 64` saturates).
-#[inline]
-pub fn rank_u64(bits: u64, i: u32) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if Kernel::active().is_accelerated() {
-        // SAFETY: `Kernel::Bmi2` is only cached after runtime detection
-        // confirmed BMI2 + POPCNT on this CPU (see module docs).
-        return unsafe { bmi2::rank_u64(bits, i) };
-    }
-    rank_u64_portable(bits, i)
-}
-
-/// Dispatched `rank_range`: ones in `[a, b)`.
-#[inline]
-pub fn rank_range_u64(bits: u64, a: u32, b: u32) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if Kernel::active().is_accelerated() {
-        // SAFETY: `Kernel::Bmi2` is only cached after runtime detection
-        // confirmed BMI2 + POPCNT on this CPU (see module docs).
-        return unsafe { bmi2::rank_range_u64(bits, a, b) };
-    }
-    rank_range_u64_portable(bits, a, b)
-}
-
-/// Dispatched insert-a-zero at `pos` (`pos < 64`).
-#[inline]
-pub fn insert_zero_u64(bits: u64, pos: u32) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    if Kernel::active().is_accelerated() {
-        // SAFETY: `Kernel::Bmi2` is only cached after runtime detection
-        // confirmed BMI2 on this CPU (see module docs).
-        return unsafe { bmi2::insert_zero_u64(bits, pos) };
-    }
-    insert_zero_u64_portable(bits, pos)
-}
-
-/// Dispatched remove-the-bit at `pos` (`pos < 64`).
-#[inline]
-pub fn remove_bit_u64(bits: u64, pos: u32) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    if Kernel::active().is_accelerated() {
-        // SAFETY: `Kernel::Bmi2` is only cached after runtime detection
-        // confirmed BMI2 on this CPU (see module docs).
-        return unsafe { bmi2::remove_bit_u64(bits, pos) };
-    }
-    remove_bit_u64_portable(bits, pos)
-}
-
-/// Routed `rank`: like [`rank_u64`] but dispatched on the batch-resolved
-/// bundle's tag (a register compare) instead of the cached atomic load.
-/// Both arms inline fully.
+/// Routed `rank`: ones strictly below bit `i` (`i ≥ 64` saturates),
+/// dispatched on the bundle's tag. Both arms inline fully.
 #[inline]
 pub fn rank_u64_routed(bits: u64, i: u32, ops: &KernelOps) -> u32 {
     #[cfg(target_arch = "x86_64")]
@@ -502,91 +374,42 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_matches_portable_for_all_primitives() {
-        // On BMI2 hardware this exercises the accelerated kernels; on the
-        // forced-portable leg it pins dispatch == portable. Either way the
-        // dispatched result must be bit-identical to the baseline.
-        let mut next = rng(0x2545_f491_4f6c_dd1d);
-        for _ in 0..2_000 {
-            let bits = next();
-            let i = (next() % 66) as u32;
-            assert_eq!(rank_u64(bits, i), rank_u64_portable(bits, i));
-            let a = (next() % 65) as u32;
-            let b = a + (next() % (65 - u64::from(a))) as u32;
-            assert_eq!(
-                rank_range_u64(bits, a, b),
-                rank_range_u64_portable(bits, a, b)
-            );
-            let pos = (next() % 64) as u32;
-            assert_eq!(
-                insert_zero_u64(bits, pos),
-                insert_zero_u64_portable(bits, pos)
-            );
-            assert_eq!(
-                remove_bit_u64(bits, pos),
-                remove_bit_u64_portable(bits, pos)
-            );
-        }
-    }
-
-    #[test]
-    fn insert_remove_are_inverse_when_top_clear() {
-        let mut next = rng(7);
-        for _ in 0..200 {
-            let bits = next() >> 1; // top bit clear: insert loses nothing
-            let pos = (next() % 64) as u32;
-            assert_eq!(remove_bit_u64(insert_zero_u64(bits, pos), pos), bits);
-        }
-    }
-
-    #[test]
-    fn batch_routing_never_selects_bmi2_for_queries() {
-        let bk = Kernel::batch();
-        assert_eq!(bk.query.kernel(), Kernel::Portable);
-        // The update bundle follows the process-wide verdict.
-        assert_eq!(bk.update.kernel(), Kernel::active());
+    fn bundles_report_their_kernel() {
         assert_eq!(KernelOps::portable().kernel(), Kernel::Portable);
+        // The accelerated bundle follows the process-wide verdict.
+        assert_eq!(KernelOps::accelerated().kernel(), Kernel::active());
     }
 
     #[test]
-    fn batch_bundles_match_portable_for_all_primitives() {
-        // Both bundles of one batch resolution, driven through the fn
-        // pointers and the tag-routed dispatchers, must be bit-identical
-        // to the portable baseline on both CI legs.
-        let bk = Kernel::batch();
+    fn both_bundles_match_portable_for_all_primitives() {
+        // On BMI2 hardware the accelerated bundle exercises the BMI2
+        // kernels; on the forced-portable leg it pins routing == portable.
+        // Either way every routed result must equal the baseline.
         let mut next = rng(0x0123_4567_89ab_cdef);
-        for ops in [bk.query, bk.update] {
+        for ops in [KernelOps::portable(), KernelOps::accelerated()] {
             for _ in 0..2_000 {
                 let bits = next();
                 let i = (next() % 66) as u32;
-                assert_eq!((ops.rank)(bits, i), rank_u64_portable(bits, i));
                 assert_eq!(rank_u64_routed(bits, i, &ops), rank_u64_portable(bits, i));
                 let a = (next() % 65) as u32;
                 let b = a + (next() % (65 - u64::from(a))) as u32;
-                assert_eq!(
-                    (ops.rank_range)(bits, a, b),
-                    rank_range_u64_portable(bits, a, b)
-                );
                 assert_eq!(
                     rank_range_u64_routed(bits, a, b, &ops),
                     rank_range_u64_portable(bits, a, b)
                 );
                 let pos = (next() % 64) as u32;
                 assert_eq!(
-                    (ops.insert_zero)(bits, pos),
-                    insert_zero_u64_portable(bits, pos)
-                );
-                assert_eq!(
                     insert_zero_u64_routed(bits, pos, &ops),
                     insert_zero_u64_portable(bits, pos)
                 );
                 assert_eq!(
-                    (ops.remove_bit)(bits, pos),
-                    remove_bit_u64_portable(bits, pos)
-                );
-                assert_eq!(
                     remove_bit_u64_routed(bits, pos, &ops),
                     remove_bit_u64_portable(bits, pos)
+                );
+                let top_clear = bits >> 1; // insert loses nothing
+                assert_eq!(
+                    remove_bit_u64_routed(insert_zero_u64_routed(top_clear, pos, &ops), pos, &ops),
+                    top_clear
                 );
             }
         }

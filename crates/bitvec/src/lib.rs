@@ -42,7 +42,7 @@ pub mod word;
 pub use crate::aligned::{advise_huge_slice, AlignedVec, CACHE_LINE_BYTES};
 pub use crate::bitvec::BitVec;
 pub use crate::counters::CounterVec;
-pub use crate::kernel::{BatchKernel, Kernel, KernelOps};
+pub use crate::kernel::{Kernel, KernelOps};
 pub use crate::prefetch::prefetch;
 pub use crate::wide::WideWord;
 pub use crate::word::Word;

@@ -5,7 +5,7 @@
 //! access — e.g. a 512-bit DDR burst or cache line. `WideWord<N>` gives the
 //! harness those points: `WideWord<4>` = 256 bits, `WideWord<8>` = 512 bits.
 
-use crate::kernel;
+use crate::kernel::{self, KernelOps};
 use crate::word::Word;
 
 /// A `64·N`-bit word stored as `N` little-endian 64-bit limbs.
@@ -87,48 +87,27 @@ impl<const N: usize> Word for WideWord<N> {
         self.limbs.iter().map(|l| l.count_ones()).sum()
     }
 
+    // The plain shifting/ranking primitives are the routed tier under
+    // the portable bundle, whose tag branch folds away once inlined.
+
     #[inline]
     fn rank(&self, i: u32) -> u32 {
-        debug_assert!(i <= Self::BITS);
-        if i == Self::BITS {
-            return self.count_ones();
-        }
-        let (limb, off) = Self::split(i);
-        let mut ones = 0;
-        for l in &self.limbs[..limb] {
-            ones += l.count_ones();
-        }
-        ones + (self.limbs[limb] & kernel::mask_below_u64(off)).count_ones()
+        self.rank_routed(i, &KernelOps::portable())
     }
 
+    #[inline]
+    fn rank_range(&self, a: u32, b: u32) -> u32 {
+        self.rank_range_routed(a, b, &KernelOps::portable())
+    }
+
+    #[inline]
     fn insert_zero(&mut self, pos: u32) {
-        debug_assert!(pos < Self::BITS);
-        let (limb, off) = Self::split(pos);
-        let low_mask = kernel::mask_below_u64(off);
-        let low = self.limbs[limb] & low_mask;
-        let high = self.limbs[limb] & !low_mask;
-        let mut carry = high >> 63;
-        self.limbs[limb] = (high << 1) | low;
-        for l in &mut self.limbs[limb + 1..] {
-            let next_carry = *l >> 63;
-            *l = (*l << 1) | carry;
-            carry = next_carry;
-        }
+        self.insert_zero_routed(pos, &KernelOps::portable());
     }
 
+    #[inline]
     fn remove_bit(&mut self, pos: u32) {
-        debug_assert!(pos < Self::BITS);
-        let (limb, off) = Self::split(pos);
-        let mut carry = 0u64;
-        for j in (limb + 1..N).rev() {
-            let next_carry = self.limbs[j] & 1;
-            self.limbs[j] = (self.limbs[j] >> 1) | (carry << 63);
-            carry = next_carry;
-        }
-        let low_mask = kernel::mask_below_u64(off);
-        let low = self.limbs[limb] & low_mask;
-        let high = (self.limbs[limb] >> 1) & !low_mask;
-        self.limbs[limb] = high | low | (carry << 63);
+        self.remove_bit_routed(pos, &KernelOps::portable());
     }
 
     #[inline]
@@ -154,70 +133,12 @@ impl<const N: usize> Word for WideWord<N> {
         None
     }
 
-    // Hot tier: whole limbs use plain POPCNT either way; the boundary limb
-    // goes through the runtime-dispatched kernel (BZHI/PDEP/PEXT on BMI2).
+    // Routed tier: whole limbs use plain POPCNT either way; the boundary
+    // limb goes through the bundle's kernel (BZHI/PDEP/PEXT when
+    // accelerated).
 
     #[inline]
-    fn rank_hot(&self, i: u32) -> u32 {
-        debug_assert!(i <= Self::BITS);
-        if i == Self::BITS {
-            return self.count_ones();
-        }
-        let (limb, off) = Self::split(i);
-        let mut ones = 0;
-        for l in &self.limbs[..limb] {
-            ones += l.count_ones();
-        }
-        ones + kernel::rank_u64(self.limbs[limb], off)
-    }
-
-    #[inline]
-    fn rank_range_hot(&self, a: u32, b: u32) -> u32 {
-        debug_assert!(a <= b && b <= Self::BITS);
-        let (la, _) = Self::split(a.min(Self::BITS - 1));
-        let (lb, _) = Self::split(b.min(Self::BITS - 1));
-        if la == lb && b < Self::BITS {
-            // Both ends in one limb: a single masked popcount.
-            let off = la as u32 * 64;
-            return kernel::rank_range_u64(self.limbs[la], a - off, b - off);
-        }
-        self.rank_hot(b) - self.rank_hot(a)
-    }
-
-    #[inline]
-    fn insert_zero_hot(&mut self, pos: u32) {
-        debug_assert!(pos < Self::BITS);
-        let (limb, off) = Self::split(pos);
-        // PDEP discards the boundary limb's top bit, so capture the carry
-        // before the kernel call.
-        let mut carry = self.limbs[limb] >> 63;
-        self.limbs[limb] = kernel::insert_zero_u64(self.limbs[limb], off);
-        for l in &mut self.limbs[limb + 1..] {
-            let next_carry = *l >> 63;
-            *l = (*l << 1) | carry;
-            carry = next_carry;
-        }
-    }
-
-    #[inline]
-    fn remove_bit_hot(&mut self, pos: u32) {
-        debug_assert!(pos < Self::BITS);
-        let (limb, off) = Self::split(pos);
-        let mut carry = 0u64;
-        for j in (limb + 1..N).rev() {
-            let next_carry = self.limbs[j] & 1;
-            self.limbs[j] = (self.limbs[j] >> 1) | (carry << 63);
-            carry = next_carry;
-        }
-        self.limbs[limb] = kernel::remove_bit_u64(self.limbs[limb], off) | (carry << 63);
-    }
-
-    // Routed tier: the same boundary-limb structure as the hot tier, but
-    // dispatched on a batch-resolved bundle tag instead of the cached
-    // atomic, so a whole batch of walks costs one detection load total.
-
-    #[inline]
-    fn rank_routed(&self, i: u32, ops: &kernel::KernelOps) -> u32 {
+    fn rank_routed(&self, i: u32, ops: &KernelOps) -> u32 {
         debug_assert!(i <= Self::BITS);
         if i == Self::BITS {
             return self.count_ones();
@@ -231,11 +152,12 @@ impl<const N: usize> Word for WideWord<N> {
     }
 
     #[inline]
-    fn rank_range_routed(&self, a: u32, b: u32, ops: &kernel::KernelOps) -> u32 {
+    fn rank_range_routed(&self, a: u32, b: u32, ops: &KernelOps) -> u32 {
         debug_assert!(a <= b && b <= Self::BITS);
         let (la, _) = Self::split(a.min(Self::BITS - 1));
         let (lb, _) = Self::split(b.min(Self::BITS - 1));
         if la == lb && b < Self::BITS {
+            // Both ends in one limb: a single masked popcount.
             let off = la as u32 * 64;
             return kernel::rank_range_u64_routed(self.limbs[la], a - off, b - off, ops);
         }
@@ -243,9 +165,11 @@ impl<const N: usize> Word for WideWord<N> {
     }
 
     #[inline]
-    fn insert_zero_routed(&mut self, pos: u32, ops: &kernel::KernelOps) {
+    fn insert_zero_routed(&mut self, pos: u32, ops: &KernelOps) {
         debug_assert!(pos < Self::BITS);
         let (limb, off) = Self::split(pos);
+        // PDEP discards the boundary limb's top bit, so capture the carry
+        // before the kernel call.
         let mut carry = self.limbs[limb] >> 63;
         self.limbs[limb] = kernel::insert_zero_u64_routed(self.limbs[limb], off, ops);
         for l in &mut self.limbs[limb + 1..] {
@@ -256,7 +180,7 @@ impl<const N: usize> Word for WideWord<N> {
     }
 
     #[inline]
-    fn remove_bit_routed(&mut self, pos: u32, ops: &kernel::KernelOps) {
+    fn remove_bit_routed(&mut self, pos: u32, ops: &KernelOps) {
         debug_assert!(pos < Self::BITS);
         let (limb, off) = Self::split(pos);
         let mut carry = 0u64;

@@ -7,14 +7,15 @@
 //! increment inserts one zero bit into the middle of the word, shifting the
 //! tail right. The trait below is the minimal algebra for that.
 //!
-//! Each primitive exists in two tiers: the plain methods (`rank`,
-//! `insert_zero`, …) are the portable baseline, branch-free via
-//! [`Word::mask_below`]; the `_hot` methods default to the baseline but are
-//! overridden for the widths with runtime-dispatched kernels
-//! ([`crate::kernel`]) — `u64` and the wide words lower to
-//! `BZHI`/`PDEP`/`PEXT` on CPUs that have them. The two tiers are proven
-//! bit-identical by differential property tests, so the hot path may be
-//! swapped per process without any observable difference.
+//! Each shifting/ranking primitive exists in two tiers: the plain methods
+//! (`rank`, `insert_zero`, …) are the portable baseline, branch-free via
+//! [`Word::mask_below`]; the `_routed` methods take a
+//! [`KernelOps`](crate::KernelOps) bundle and default to the baseline, but
+//! `u64` and the wide words override them to lower to `BZHI`/`PDEP`/`PEXT`
+//! when the bundle is accelerated ([`crate::kernel`]). The two tiers are
+//! proven bit-identical by differential property tests under both
+//! bundles, so the kernel may be swapped per process without any
+//! observable difference.
 
 use crate::kernel;
 use core::fmt::Debug;
@@ -83,57 +84,31 @@ pub trait Word: Copy + Clone + Eq + Debug + Default + Send + Sync + 'static {
         self.highest_set_bit().map_or(0, |b| b + 1)
     }
 
-    /// [`Word::rank`] through the runtime-dispatched kernel. Bit-identical
-    /// to the baseline; only the instruction sequence may differ.
-    #[inline]
-    fn rank_hot(&self, i: u32) -> u32 {
-        self.rank(i)
-    }
-
-    /// [`Word::rank_range`] through the runtime-dispatched kernel.
-    #[inline]
-    fn rank_range_hot(&self, a: u32, b: u32) -> u32 {
-        self.rank_range(a, b)
-    }
-
-    /// [`Word::insert_zero`] through the runtime-dispatched kernel.
-    #[inline]
-    fn insert_zero_hot(&mut self, pos: u32) {
-        self.insert_zero(pos);
-    }
-
-    /// [`Word::remove_bit`] through the runtime-dispatched kernel.
-    #[inline]
-    fn remove_bit_hot(&mut self, pos: u32) {
-        self.remove_bit(pos);
-    }
-
-    /// [`Word::rank`] through a batch-resolved kernel bundle
-    /// ([`Kernel::batch`](crate::Kernel::batch)): dispatch rides the
-    /// bundle's tag in a register instead of re-loading the cached atomic
-    /// on every probe. Defaults to the portable baseline; widths with
-    /// accelerated kernels override.
+    /// [`Word::rank`] through a kernel bundle: dispatch rides the
+    /// bundle's tag in a register. Defaults to the portable baseline;
+    /// widths with accelerated kernels override. Bit-identical to the
+    /// baseline; only the instruction sequence may differ.
     #[inline]
     fn rank_routed(&self, i: u32, ops: &kernel::KernelOps) -> u32 {
         let _ = ops;
         self.rank(i)
     }
 
-    /// [`Word::rank_range`] through a batch-resolved kernel bundle.
+    /// [`Word::rank_range`] through a kernel bundle.
     #[inline]
     fn rank_range_routed(&self, a: u32, b: u32, ops: &kernel::KernelOps) -> u32 {
         let _ = ops;
         self.rank_range(a, b)
     }
 
-    /// [`Word::insert_zero`] through a batch-resolved kernel bundle.
+    /// [`Word::insert_zero`] through a kernel bundle.
     #[inline]
     fn insert_zero_routed(&mut self, pos: u32, ops: &kernel::KernelOps) {
         let _ = ops;
         self.insert_zero(pos);
     }
 
-    /// [`Word::remove_bit`] through a batch-resolved kernel bundle.
+    /// [`Word::remove_bit`] through a kernel bundle.
     #[inline]
     fn remove_bit_routed(&mut self, pos: u32, ops: &kernel::KernelOps) {
         let _ = ops;
@@ -142,7 +117,7 @@ pub trait Word: Copy + Clone + Eq + Debug + Default + Send + Sync + 'static {
 }
 
 macro_rules! impl_word_for_prim {
-    ($($t:ty => { $($hot:item)* }),* $(,)?) => {$(
+    ($($t:ty => { $($routed:item)* }),* $(,)?) => {$(
         impl Word for $t {
             const BITS: u32 = <$t>::BITS;
 
@@ -229,7 +204,7 @@ macro_rules! impl_word_for_prim {
                 }
             }
 
-            $($hot)*
+            $($routed)*
         }
     )*};
 }
@@ -237,30 +212,10 @@ macro_rules! impl_word_for_prim {
 impl_word_for_prim!(
     u16 => {},
     u32 => {},
-    // The paper's main word width carries the runtime-dispatched kernels:
+    // The paper's main word width carries the accelerated kernels:
     // BZHI + POPCNT ranks and single-instruction PDEP/PEXT hierarchy
-    // shifts on CPUs with BMI2, the portable baseline elsewhere.
+    // shifts under an accelerated bundle, the portable baseline otherwise.
     u64 => {
-        #[inline]
-        fn rank_hot(&self, i: u32) -> u32 {
-            kernel::rank_u64(*self, i)
-        }
-
-        #[inline]
-        fn rank_range_hot(&self, a: u32, b: u32) -> u32 {
-            kernel::rank_range_u64(*self, a, b)
-        }
-
-        #[inline]
-        fn insert_zero_hot(&mut self, pos: u32) {
-            *self = kernel::insert_zero_u64(*self, pos);
-        }
-
-        #[inline]
-        fn remove_bit_hot(&mut self, pos: u32) {
-            *self = kernel::remove_bit_u64(*self, pos);
-        }
-
         #[inline]
         fn rank_routed(&self, i: u32, ops: &kernel::KernelOps) -> u32 {
             kernel::rank_u64_routed(*self, i, ops)
@@ -338,43 +293,13 @@ mod tests {
         check_mask_below::<u128>();
     }
 
-    fn check_hot_matches_plain<W: Word>() {
-        // Drive a nontrivial pattern through plain and hot tiers in
-        // lockstep; every intermediate state must agree bit-for-bit.
-        let mut plain = W::zero();
-        for i in (0..W::BITS).step_by(3) {
-            plain.set_bit(i);
-        }
-        plain.clear_bit(W::BITS - 1);
-        let mut hot = plain;
-        for pos in 0..W::BITS - 1 {
-            assert_eq!(plain.rank_hot(pos), plain.rank(pos), "rank_hot({pos})");
-            assert_eq!(
-                plain.rank_range_hot(pos / 2, pos),
-                plain.rank_range(pos / 2, pos)
-            );
-            plain.insert_zero(pos);
-            hot.insert_zero_hot(pos);
-            assert_eq!(plain, hot, "insert_zero at {pos}");
-            plain.remove_bit(pos);
-            hot.remove_bit_hot(pos);
-            assert_eq!(plain, hot, "remove_bit at {pos}");
-        }
-    }
-
-    #[test]
-    fn hot_tier_matches_plain_tier() {
-        check_hot_matches_plain::<u16>();
-        check_hot_matches_plain::<u32>();
-        check_hot_matches_plain::<u64>();
-        check_hot_matches_plain::<u128>();
-    }
-
     fn check_routed_matches_plain<W: Word>() {
-        // Both bundles of a batch resolution must be bit-identical to the
-        // plain tier at every step.
-        let bk = crate::Kernel::batch();
-        for ops in [bk.query, bk.update] {
+        // Both bundles must be bit-identical to the plain tier at every
+        // step.
+        for ops in [
+            kernel::KernelOps::portable(),
+            kernel::KernelOps::accelerated(),
+        ] {
             let mut plain = W::zero();
             for i in (0..W::BITS).step_by(3) {
                 plain.set_bit(i);
@@ -400,6 +325,7 @@ mod tests {
     #[test]
     fn routed_tier_matches_plain_tier() {
         check_routed_matches_plain::<u16>();
+        check_routed_matches_plain::<u32>();
         check_routed_matches_plain::<u64>();
         check_routed_matches_plain::<u128>();
         check_routed_matches_plain::<crate::W256>();

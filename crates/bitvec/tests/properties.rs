@@ -2,7 +2,7 @@
 //! oracle, word insert/remove against shift semantics, cross-width
 //! equivalence.
 
-use mpcbf_bitvec::{BitVec, CounterVec, WideWord, Word};
+use mpcbf_bitvec::{BitVec, CounterVec, KernelOps, WideWord, Word};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -143,7 +143,9 @@ proptest! {
                     }
                 }
                 prop_assert_eq!(w.rank(i), masked.count_ones(), "rank({}) vs mask", i);
-                prop_assert_eq!(w.rank_hot(i), w.rank(i), "rank_hot({})", i);
+                for ops in [KernelOps::portable(), KernelOps::accelerated()] {
+                    prop_assert_eq!(w.rank_routed(i, &ops), w.rank(i), "rank_routed({})", i);
+                }
             }
             // Saturation beyond the width.
             prop_assert_eq!(W::mask_below(W::BITS + 7), W::mask_below(W::BITS));
@@ -157,14 +159,15 @@ proptest! {
     }
 
     #[test]
-    fn hot_tier_is_bit_identical_all_widths(
+    fn routed_tier_is_bit_identical_all_widths(
         sets in prop::collection::vec(0u32..512, 0..80),
         pos in 0u32..512,
         a in 0u32..512,
         b in 0u32..512,
     ) {
-        // Dispatched (hot) primitives must match the portable baseline
-        // bit-for-bit on every width, wherever the kernel dispatches.
+        // Routed primitives must match the portable baseline bit-for-bit
+        // on every width, under both the portable and the accelerated
+        // bundle.
         fn check<W: Word>(
             sets: &[u32],
             pos: u32,
@@ -180,15 +183,17 @@ proptest! {
                 let (a, b) = (a % (W::BITS + 1), b % (W::BITS + 1));
                 if a <= b { (a, b) } else { (b, a) }
             };
-            prop_assert_eq!(w.rank_range_hot(a, b), w.rank_range(a, b));
-            let mut plain = w;
-            let mut hot = w;
-            plain.insert_zero(pos);
-            hot.insert_zero_hot(pos);
-            prop_assert_eq!(plain, hot, "insert_zero at {}", pos);
-            plain.remove_bit(pos);
-            hot.remove_bit_hot(pos);
-            prop_assert_eq!(plain, hot, "remove_bit at {}", pos);
+            for ops in [KernelOps::portable(), KernelOps::accelerated()] {
+                prop_assert_eq!(w.rank_range_routed(a, b, &ops), w.rank_range(a, b));
+                let mut plain = w;
+                let mut routed = w;
+                plain.insert_zero(pos);
+                routed.insert_zero_routed(pos, &ops);
+                prop_assert_eq!(plain, routed, "insert_zero at {}", pos);
+                plain.remove_bit(pos);
+                routed.remove_bit_routed(pos, &ops);
+                prop_assert_eq!(plain, routed, "remove_bit at {}", pos);
+            }
         }
         check::<u16>(&sets, pos, a, b);
         check::<u32>(&sets, pos, a, b);

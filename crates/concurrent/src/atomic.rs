@@ -14,7 +14,7 @@
 //! for updates, with cross-group rollback.
 
 use mpcbf_analysis::heuristic::MpcbfShape;
-use mpcbf_bitvec::{AlignedVec, Kernel, KernelOps};
+use mpcbf_bitvec::{AlignedVec, KernelOps};
 use mpcbf_core::config::MpcbfConfig;
 use mpcbf_core::hcbf::{HcbfWord, WordError};
 use mpcbf_core::scrub::{segment_of, FilterSeal, ScrubReport};
@@ -279,7 +279,7 @@ impl<H: Hasher128> AtomicMpcbf<H> {
     ) -> Vec<Result<(), FilterError>> {
         self.plan_into(keys, plans);
         let g = plans.group_count();
-        let ops = Kernel::batch().update;
+        let ops = KernelOps::accelerated();
         (0..keys.len())
             .map(|i| self.insert_walk(g, |t| plans.group(i, t), &ops))
             .collect()
@@ -299,7 +299,7 @@ impl<H: Hasher128> AtomicMpcbf<H> {
     ) -> Vec<Result<(), FilterError>> {
         self.plan_into(keys, plans);
         let g = plans.group_count();
-        let ops = Kernel::batch().update;
+        let ops = KernelOps::accelerated();
         (0..keys.len())
             .map(|i| self.remove_walk(g, |t| plans.group(i, t), &ops))
             .collect()

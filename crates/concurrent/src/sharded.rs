@@ -41,8 +41,8 @@
 //! a batch behaving exactly like a scalar loop, (3) prefetch every key's
 //! `g` planned words, in walk order, before any lock is taken, (4) per
 //! shard take the lock once for its whole contiguous run and
-//! probe/update, with update runs driving the per-batch-resolved kernel
-//! bundle ([`Kernel::batch`]).
+//! probe/update, with update runs driving one update kernel
+//! ([`KernelOps::accelerated`]) resolved per batch.
 //!
 //! Stage 3 exists because a DRAM-resident filter's time goes into the
 //! word loads. The sequential filter overlaps its misses by interleaving
@@ -57,10 +57,11 @@
 //! [`mpcbf_bitvec::prefetch()`]). Answers and words are unchanged: a
 //! prefetch never alters program state.
 //!
-//! Scalar and batch operations share one word walk per operation kind
-//! (`query_walk`, `insert_walk`, `remove_walk`): a walk reads the key's
-//! groups through an index accessor, fed by a [`ProbePlan`] for one key
-//! or by the batch's [`PlanBuffer`].
+//! Scalar and batch operations share one group walk per operation kind
+//! with the sequential filter ([`query_walk`], [`insert_walk`],
+//! [`remove_walk`] in `mpcbf-core`): a walk reads the key's groups
+//! through an index accessor, fed by a [`ProbePlan`] for one key or by
+//! the batch's [`PlanBuffer`], over the locked shard's words.
 //!
 //! # Lock counters
 //!
@@ -72,10 +73,10 @@
 //! [`ShardedMpcbf::shard_lock_stats`].
 
 use mpcbf_analysis::heuristic::MpcbfShape;
-use mpcbf_bitvec::{prefetch, AlignedVec, Kernel, KernelOps, Word};
+use mpcbf_bitvec::{prefetch, AlignedVec, KernelOps, Word};
 use mpcbf_core::codec;
 use mpcbf_core::config::MpcbfConfig;
-use mpcbf_core::hcbf::HcbfWord;
+use mpcbf_core::hcbf::{insert_walk, query_walk, remove_walk, HcbfWord};
 use mpcbf_core::scrub::{FilterSeal, ScrubReport, SEGMENT_WORDS};
 use mpcbf_core::{FilterError, PlanBuffer, ProbePlan};
 use mpcbf_hash::{Hasher128, Murmur3};
@@ -342,81 +343,6 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
         (shard, plan)
     }
 
-    /// Queries one key against its (already locked) shard. `group(t)` is
-    /// the key's group `t` as `(word, in-word probes)` for `t < g` — from
-    /// a [`ProbePlan`] (scalar) or a [`PlanBuffer`] entry (batch).
-    #[inline]
-    fn query_walk<'p>(
-        words: &[HcbfWord<W>],
-        g: usize,
-        group: impl Fn(usize) -> (usize, &'p [u32]),
-    ) -> bool {
-        (0..g).all(|t| {
-            let (word, probes) = group(t);
-            words[word].query_all(probes).0
-        })
-    }
-
-    /// Inserts one key into its (already locked) shard, rolling back
-    /// every applied group on overflow by re-reading them through `group`
-    /// (no allocation). A rollback step that itself fails means the word
-    /// no longer holds what this call just wrote — damage, not overflow —
-    /// and is reported as `CorruptionDetected` with a *shard-local*
-    /// segment (the entry points globalize it) rather than panicking
-    /// while the shard lock is held, which would poison the lock and
-    /// brick the shard for every future caller.
-    fn insert_walk<'p>(
-        words: &mut [HcbfWord<W>],
-        g: usize,
-        group: impl Fn(usize) -> (usize, &'p [u32]),
-        b1: u32,
-        ops: &KernelOps,
-    ) -> Result<(), FilterError> {
-        for t in 0..g {
-            let (word, probes) = group(t);
-            if words[word].increment_all_routed(probes, b1, ops).is_err() {
-                for u in (0..t).rev() {
-                    let (rw, rp) = group(u);
-                    if words[rw].decrement_all_routed(rp, b1, ops).is_err() {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: rw / SEGMENT_WORDS,
-                        });
-                    }
-                }
-                return Err(FilterError::WordOverflow { word });
-            }
-        }
-        Ok(())
-    }
-
-    /// Removes one key from its (already locked) shard, rolling back
-    /// every applied group if the element turns out absent. Rollback
-    /// failure reports `CorruptionDetected` (shard-local segment) instead
-    /// of panicking — see [`Self::insert_walk`].
-    fn remove_walk<'p>(
-        words: &mut [HcbfWord<W>],
-        g: usize,
-        group: impl Fn(usize) -> (usize, &'p [u32]),
-        b1: u32,
-        ops: &KernelOps,
-    ) -> Result<(), FilterError> {
-        for t in 0..g {
-            let (word, probes) = group(t);
-            if words[word].decrement_all_routed(probes, b1, ops).is_err() {
-                for u in (0..t).rev() {
-                    let (rw, rp) = group(u);
-                    if words[rw].increment_all_routed(rp, b1, ops).is_err() {
-                        return Err(FilterError::CorruptionDetected {
-                            segment: rw / SEGMENT_WORDS,
-                        });
-                    }
-                }
-                return Err(FilterError::NotPresent);
-            }
-        }
-        Ok(())
-    }
-
     /// Membership check.
     pub fn contains<K: mpcbf_hash::Key + ?Sized>(&self, key: &K) -> bool {
         self.contains_bytes(key.key_bytes().as_slice())
@@ -426,7 +352,7 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
     pub fn contains_bytes(&self, key: &[u8]) -> bool {
         let (shard, plan) = self.plan(key);
         let guard = self.lock_shard(shard);
-        Self::query_walk(&guard.words, plan.group_count(), |t| plan.group(t))
+        query_walk(&guard.words, plan.group_count(), |t| plan.group(t)).0
     }
 
     /// Inserts a key.
@@ -439,13 +365,14 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
         let (shard, plan) = self.plan(key);
         let ops = KernelOps::accelerated();
         let mut guard = self.lock_shard(shard);
-        let result = Self::insert_walk(
+        let result = insert_walk(
             &mut guard.words,
             plan.group_count(),
             |t| plan.group(t),
             self.shape.b1,
             &ops,
-        );
+        )
+        .map(|_| ());
         drop(guard);
         if matches!(result, Err(FilterError::WordOverflow { .. })) {
             self.overflows.fetch_add(1, Ordering::Relaxed);
@@ -463,13 +390,14 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
         let (shard, plan) = self.plan(key);
         let ops = KernelOps::accelerated();
         let mut guard = self.lock_shard(shard);
-        Self::remove_walk(
+        remove_walk(
             &mut guard.words,
             plan.group_count(),
             |t| plan.group(t),
             self.shape.b1,
             &ops,
         )
+        .map(|_| ())
         .map_err(|e| self.globalize_err(shard, e))
     }
 
@@ -553,7 +481,7 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
         self.for_each_shard_run(scratch, |words, run, _| {
             for &idx in run {
                 let i = idx as usize;
-                out[i] = Self::query_walk(words, g, |t| plans.group(i, t));
+                out[i] = query_walk(words, g, |t| plans.group(i, t)).0;
             }
         });
         out
@@ -577,14 +505,14 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
         self.plan_batch_into(keys, scratch);
         let plans = &scratch.plans;
         let g = plans.group_count();
-        let ops = Kernel::batch().update;
+        let ops = KernelOps::accelerated();
         let b1 = self.shape.b1;
         let mut out = vec![Ok(()); keys.len()];
         let mut failed = 0u64;
         self.for_each_shard_run(scratch, |words, run, shard| {
             for &idx in run {
                 let i = idx as usize;
-                let r = Self::insert_walk(words, g, |t| plans.group(i, t), b1, &ops);
+                let r = insert_walk(words, g, |t| plans.group(i, t), b1, &ops).map(|_| ());
                 if matches!(r, Err(FilterError::WordOverflow { .. })) {
                     failed += 1;
                 }
@@ -609,13 +537,14 @@ impl<W: Word, H: Hasher128> ShardedMpcbf<W, H> {
         self.plan_batch_into(keys, scratch);
         let plans = &scratch.plans;
         let g = plans.group_count();
-        let ops = Kernel::batch().update;
+        let ops = KernelOps::accelerated();
         let b1 = self.shape.b1;
         let mut out = vec![Ok(()); keys.len()];
         self.for_each_shard_run(scratch, |words, run, shard| {
             for &idx in run {
                 let i = idx as usize;
-                out[i] = Self::remove_walk(words, g, |t| plans.group(i, t), b1, &ops)
+                out[i] = remove_walk(words, g, |t| plans.group(i, t), b1, &ops)
+                    .map(|_| ())
                     .map_err(|e| self.globalize_err(shard, e));
             }
         });

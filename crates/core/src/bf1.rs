@@ -9,7 +9,7 @@
 
 use crate::metrics::{OpCost, WordTouches};
 use crate::plan::{distinct_words, PlanBuffer, SMALL_BATCH};
-use crate::traits::Filter;
+use crate::traits::{contains_batch_scalar, insert_batch_scalar, Filter};
 use crate::{split_hashes, ConfigError, FilterError, GROUP_SALT, WORD_SALT};
 use mpcbf_bitvec::BitVec;
 use mpcbf_hash::mix::bits_for;
@@ -206,27 +206,13 @@ impl<H: Hasher128> Filter for BfG<H> {
         self.k
     }
 
-    /// Batch query via the fused pipeline with a fresh plan buffer; hold
-    /// a [`PlanBuffer`] and call [`Filter::contains_batch_with`] to skip
-    /// the per-call allocation.
-    fn contains_batch_cost(&self, keys: &[&[u8]]) -> (Vec<bool>, OpCost) {
-        self.contains_batch_with(keys, &mut PlanBuffer::new())
-    }
-
     /// Fused batch query: probe group by group in scalar order off the
     /// buffer's plans (short-circuiting on the first zero bit with the
     /// same words/positions accounting). Batches below [`SMALL_BATCH`]
     /// degrade to the scalar loop.
     fn contains_batch_with(&self, keys: &[&[u8]], plans: &mut PlanBuffer) -> (Vec<bool>, OpCost) {
         if keys.len() < SMALL_BATCH {
-            let mut hits = Vec::with_capacity(keys.len());
-            let mut total = OpCost::zero();
-            for key in keys {
-                let (hit, cost) = self.contains_bytes_cost(key);
-                hits.push(hit);
-                total = total.add(cost);
-            }
-            return (hits, total);
+            return contains_batch_scalar(self, keys);
         }
         self.plan_into(keys, plans);
         let mut hits = Vec::with_capacity(keys.len());
@@ -255,13 +241,6 @@ impl<H: Hasher128> Filter for BfG<H> {
         (hits, total)
     }
 
-    /// Batch insert via the fused pipeline with a fresh plan buffer; hold
-    /// a [`PlanBuffer`] and call [`Filter::insert_batch_with`] to skip the
-    /// per-call allocation.
-    fn insert_batch_cost(&mut self, keys: &[&[u8]]) -> (Vec<Result<(), FilterError>>, OpCost) {
-        self.insert_batch_with(keys, &mut PlanBuffer::new())
-    }
-
     /// Fused batch insert: bits are set strictly in key order off the
     /// buffer's plans. Batches below [`SMALL_BATCH`] degrade to the
     /// scalar loop.
@@ -271,18 +250,7 @@ impl<H: Hasher128> Filter for BfG<H> {
         plans: &mut PlanBuffer,
     ) -> (Vec<Result<(), FilterError>>, OpCost) {
         if keys.len() < SMALL_BATCH {
-            let mut results = Vec::with_capacity(keys.len());
-            let mut total = OpCost::zero();
-            for key in keys {
-                match self.insert_bytes_cost(key) {
-                    Ok(cost) => {
-                        total = total.add(cost);
-                        results.push(Ok(()));
-                    }
-                    Err(e) => results.push(Err(e)),
-                }
-            }
-            return (results, total);
+            return insert_batch_scalar(self, keys);
         }
         self.plan_into(keys, plans);
         let mut results = Vec::with_capacity(keys.len());

@@ -26,13 +26,14 @@
 //!
 //! The sweep itself has two tiers. A region's *first* sweep lands on
 //! all-empty words, so it skips incremental increments entirely:
-//! [`construct_entries`] histograms each word's slot counts (arrival
+//! `construct_entries` histograms each word's slot counts (arrival
 //! order, exact admission bookkeeping) and then serialises each word's
 //! canonical encoding in one pass — the words are written once,
 //! sequentially, never read. A region swept *again* (its bucket
 //! overflowed mid-stream — only when pushes exceed the sizing hint) is
-//! dirty, and [`apply_entries`] replays its entries in arrival order
-//! through a statically inlined counter walk. No sort in that walk:
+//! dirty, and `apply_entries` replays its entries in arrival order
+//! through the one increment walk under the portable kernel, whose
+//! dispatch folds away at compile time. No sort in that walk:
 //! within a region every word access is a cache hit anyway, and arrival
 //! order keeps same-word entries apart so their dependent walks
 //! overlap.
@@ -84,7 +85,7 @@ use crate::mpcbf::Mpcbf;
 use crate::plan::PlanBuffer;
 use crate::resilient::ResilientMpcbf;
 use crate::{split_hashes, GROUP_SALT, WORD_SALT};
-use mpcbf_bitvec::{advise_huge_slice, AlignedVec};
+use mpcbf_bitvec::{advise_huge_slice, AlignedVec, KernelOps};
 use mpcbf_hash::{DoubleHasher, Hasher128, Murmur3};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -214,7 +215,7 @@ impl BulkStage {
     /// 1.5× the expected entries-per-word plus one, so a region ingests
     /// its whole expected share without a mid-stream flush and the final
     /// sweep lands on still-empty words, unlocking direct word
-    /// construction (see [`construct_entries`]).
+    /// construction (see `construct_entries`).
     pub fn with_expected(l: u64, k: u32, g: u32, b1: u32, expected: u64) -> Self {
         let deferred = g == 1 && SLOT_BITS * k + index_bits(l) <= 64;
         let epw = expected.div_ceil(l.max(1)) as usize;
@@ -732,6 +733,10 @@ fn apply_entries(
 ) -> (u64, u64) {
     let mut items = 0u64;
     let mut refused = 0u64;
+    // The portable kernel, statically: at millions of back-to-back
+    // increments the inlined mask-and-shift primitives beat any per-call
+    // dispatch, and the bundle's tag branch folds away.
+    let ops = KernelOps::portable();
     // Warm the region's cachelines with one linear pass before the
     // random-order sweep: the words have been cold since this region's
     // previous flush, and a bandwidth-bound stream beats ~one
@@ -758,11 +763,11 @@ fn apply_entries(
                     refused += 1;
                     continue;
                 }
-                word.increment_inline((e & 0x3f) as u32, b1)
+                word.increment_routed((e & 0x3f) as u32, b1, &ops)
                     .expect("capacity checked against the running total");
-                word.increment_inline(((e >> SLOT_BITS) & 0x3f) as u32, b1)
+                word.increment_routed(((e >> SLOT_BITS) & 0x3f) as u32, b1, &ops)
                     .expect("capacity checked against the running total");
-                word.increment_inline(((e >> (2 * SLOT_BITS)) & 0x3f) as u32, b1)
+                word.increment_routed(((e >> (2 * SLOT_BITS)) & 0x3f) as u32, b1, &ops)
                     .expect("capacity checked against the running total");
                 region[w] = word;
                 items += 1;
@@ -778,7 +783,7 @@ fn apply_entries(
                 }
                 for j in 0..k {
                     let slot = ((e >> (SLOT_BITS * j)) & 0x3f) as u32;
-                    word.increment_inline(slot, b1)
+                    word.increment_routed(slot, b1, &ops)
                         .expect("capacity checked against the running total");
                 }
                 region[w] = word;
@@ -790,7 +795,7 @@ fn apply_entries(
                 let w = ((e >> word_shift) - base) as usize;
                 let slot = (e & 0x3f) as u32;
                 region[w]
-                    .increment_inline(slot, b1)
+                    .increment_routed(slot, b1, &ops)
                     .expect("entry was admitted at push time");
             }
         }
@@ -798,7 +803,7 @@ fn apply_entries(
     (items, refused)
 }
 
-/// Reusable per-thread scratch for [`construct_entries`]: slot
+/// Reusable per-thread scratch for `construct_entries`: slot
 /// histograms for every word of one region (≤ `2^L3_REGION_BITS` words,
 /// so ≤ 2 MB of counts — cache-resident through a sweep). Kept all-zero
 /// between sweeps: the serialisation pass re-zeroes exactly the rows it

@@ -10,7 +10,9 @@
 use crate::metrics::{OpCost, WordTouches};
 use crate::plan::{PlanBuffer, SMALL_BATCH};
 use crate::scrub::{segment_of, FilterSeal, ScrubReport};
-use crate::traits::{CountingFilter, Filter};
+use crate::traits::{
+    contains_batch_scalar, insert_batch_scalar, remove_batch_scalar, CountingFilter, Filter,
+};
 use crate::{ConfigError, FilterError};
 use mpcbf_bitvec::CounterVec;
 use mpcbf_hash::mix::bits_for;
@@ -323,13 +325,6 @@ impl<H: Hasher128> Filter for Cbf<H> {
         self.k
     }
 
-    /// Batch query via the fused flat pipeline with a fresh plan buffer;
-    /// hold a [`PlanBuffer`] and call [`Filter::contains_batch_with`] to
-    /// skip the per-call allocation.
-    fn contains_batch_cost(&self, keys: &[&[u8]]) -> (Vec<bool>, OpCost) {
-        self.contains_batch_with(keys, &mut PlanBuffer::new())
-    }
-
     /// Fused flat batch query: the plan buffer holds just `k` counter
     /// indices per key — no groups, no per-key tracker structures — and
     /// each key probes in scalar order, short-circuiting on the first
@@ -337,14 +332,7 @@ impl<H: Hasher128> Filter for Cbf<H> {
     /// loop.
     fn contains_batch_with(&self, keys: &[&[u8]], plans: &mut PlanBuffer) -> (Vec<bool>, OpCost) {
         if keys.len() < SMALL_BATCH {
-            let mut hits = Vec::with_capacity(keys.len());
-            let mut total = OpCost::zero();
-            for key in keys {
-                let (hit, cost) = self.contains_bytes_cost(key);
-                hits.push(hit);
-                total = total.add(cost);
-            }
-            return (hits, total);
+            return contains_batch_scalar(self, keys);
         }
         self.plan_into(keys, plans);
         let addr_bits = bits_for(self.counters.len() as u64);
@@ -370,13 +358,6 @@ impl<H: Hasher128> Filter for Cbf<H> {
         (hits, total)
     }
 
-    /// Batch insert via the fused flat pipeline with a fresh plan buffer;
-    /// hold a [`PlanBuffer`] and call [`Filter::insert_batch_with`] to
-    /// skip the per-call allocation.
-    fn insert_batch_cost(&mut self, keys: &[&[u8]]) -> (Vec<Result<(), FilterError>>, OpCost) {
-        self.insert_batch_with(keys, &mut PlanBuffer::new())
-    }
-
     /// Fused flat batch insert: increments are applied strictly in key
     /// order straight off the plan buffer's index runs, so the counter
     /// array ends bit-identical to a scalar loop. Batches below
@@ -387,18 +368,7 @@ impl<H: Hasher128> Filter for Cbf<H> {
         plans: &mut PlanBuffer,
     ) -> (Vec<Result<(), FilterError>>, OpCost) {
         if keys.len() < SMALL_BATCH {
-            let mut results = Vec::with_capacity(keys.len());
-            let mut total = OpCost::zero();
-            for key in keys {
-                match self.insert_bytes_cost(key) {
-                    Ok(cost) => {
-                        total = total.add(cost);
-                        results.push(Ok(()));
-                    }
-                    Err(e) => results.push(Err(e)),
-                }
-            }
-            return (results, total);
+            return insert_batch_scalar(self, keys);
         }
         self.plan_into(keys, plans);
         let addr_bits = bits_for(self.counters.len() as u64);
@@ -446,13 +416,6 @@ impl<H: Hasher128> CountingFilter for Cbf<H> {
         })
     }
 
-    /// Batch remove via the fused flat pipeline with a fresh plan buffer;
-    /// hold a [`PlanBuffer`] and call [`CountingFilter::remove_batch_with`]
-    /// to skip the per-call allocation.
-    fn remove_batch_cost(&mut self, keys: &[&[u8]]) -> (Vec<Result<(), FilterError>>, OpCost) {
-        self.remove_batch_with(keys, &mut PlanBuffer::new())
-    }
-
     /// Fused flat batch remove: each key runs the same unmetered presence
     /// pass as the scalar path, then the metered decrements — applied in
     /// key order off the plan buffer, so an absent key leaves the counters
@@ -465,18 +428,7 @@ impl<H: Hasher128> CountingFilter for Cbf<H> {
         plans: &mut PlanBuffer,
     ) -> (Vec<Result<(), FilterError>>, OpCost) {
         if keys.len() < SMALL_BATCH {
-            let mut results = Vec::with_capacity(keys.len());
-            let mut total = OpCost::zero();
-            for key in keys {
-                match self.remove_bytes_cost(key) {
-                    Ok(cost) => {
-                        total = total.add(cost);
-                        results.push(Ok(()));
-                    }
-                    Err(e) => results.push(Err(e)),
-                }
-            }
-            return (results, total);
+            return remove_batch_scalar(self, keys);
         }
         self.plan_into(keys, plans);
         let addr_bits = bits_for(self.counters.len() as u64);

@@ -71,7 +71,7 @@ const VERSION: u8 = 1;
 pub const KIND_CBF: u8 = 1;
 /// Image kind byte for [`Mpcbf`] over 64-bit words.
 pub const KIND_MPCBF64: u8 = 2;
-/// Image kind byte for [`ResilientMpcbf`] (main + gate + spill map).
+/// Image kind byte for [`ResilientMpcbf`](crate::ResilientMpcbf) (main + gate + spill map).
 pub const KIND_RESILIENT: u8 = 3;
 /// Image kind byte for `ShardedMpcbf` over 64-bit words (encoded by the
 /// `mpcbf-concurrent` crate through this module's [`Writer`]/[`Reader`]).
@@ -397,7 +397,7 @@ impl<H: Hasher128> crate::resilient::ResilientMpcbf<H> {
         w.finish()
     }
 
-    /// Decodes a filter previously produced by [`ResilientMpcbf::encode`].
+    /// Decodes a filter previously produced by [`ResilientMpcbf::encode`](crate::ResilientMpcbf::encode).
     ///
     /// Both nested images revalidate their own envelopes, and every
     /// spill entry is bounds-checked — a malformed image errors, it
@@ -479,7 +479,7 @@ impl<H: Hasher128> crate::elastic::ElasticMpcbf<H> {
     /// deterministically. Rosters are sorted, so the encoding is
     /// deterministic end to end (durability snapshots rely on this).
     ///
-    /// [`decode`]: ElasticMpcbf::decode
+    /// [`decode`]: crate::ElasticMpcbf::decode
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new(KIND_ELASTIC);
         // Policy (f64 thresholds as raw bits).
@@ -539,7 +539,7 @@ impl<H: Hasher128> crate::elastic::ElasticMpcbf<H> {
         w.finish()
     }
 
-    /// Decodes a filter previously produced by [`ElasticMpcbf::encode`].
+    /// Decodes a filter previously produced by [`ElasticMpcbf::encode`](crate::ElasticMpcbf::encode).
     ///
     /// Every nested resilient image revalidates its own envelope, the
     /// policy is re-validated, generation ids must be strictly increasing

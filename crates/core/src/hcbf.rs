@@ -24,7 +24,17 @@
 //! 2. **Pay-per-increment storage** — a counter of value `c` consumes
 //!    exactly `c` hierarchy bits, so idle positions are free and the
 //!    improved HCBF (§III.B.3) can maximise `b1 = w − k·n_max`.
+//!
+//! Each operation has one walk: [`HcbfWord::increment_routed`],
+//! [`HcbfWord::decrement_routed`] and their all-or-nothing loops take the
+//! [`KernelOps`] bundle their primitives route to; the plain `increment`
+//! family wraps them with [`KernelOps::accelerated`]. The `*_reference`
+//! walks are the naive oracle the differential tests hold them to. One
+//! level up, [`query_walk`], [`insert_walk`] and [`remove_walk`] run one
+//! key's planned groups over a word array — the filter operations of
+//! [`crate::Mpcbf`] and the sharded concurrent filter.
 
+use crate::scrub::segment_of;
 use crate::FilterError;
 use mpcbf_bitvec::{KernelOps, Word};
 use mpcbf_hash::mix::bits_for;
@@ -166,9 +176,9 @@ impl<W: Word> HcbfWord<W> {
                 return count;
             }
             count += 1;
-            let child = self.bits.rank_hot(gp) - r_start;
+            let child = self.bits.rank(gp) - r_start;
             let next_start = level_start + level_size;
-            let r_next = self.bits.rank_hot(next_start);
+            let r_next = self.bits.rank(next_start);
             level_start = next_start;
             level_size = r_next - r_start;
             r_start = r_next;
@@ -176,52 +186,24 @@ impl<W: Word> HcbfWord<W> {
         }
     }
 
-    /// Increments the counter at first-level position `p`.
-    ///
-    /// Walks the chain of ones to its first zero, flips it, and splices a
-    /// zero child slot into the next level. Fails with
-    /// [`WordError::Overflow`] when the word has no spare bit, leaving the
-    /// word unchanged; the caller maps it to the filter-level error via
-    /// [`WordError::at`] with the real word index.
+    /// Increments the counter at first-level position `p` through the
+    /// best available kernel; see [`HcbfWord::increment_routed`].
+    #[inline]
     pub fn increment(&mut self, p: u32, b1: u32) -> Result<IncrementReport, WordError> {
-        debug_assert!(p < b1 && b1 <= W::BITS);
-        // Capacity: inserting always consumes exactly one bit.
-        if self.used_bits(b1) >= W::BITS {
-            return Err(WordError::Overflow);
-        }
-        let mut level_start = 0u32;
-        let mut level_size = b1;
-        let mut pos = p;
-        let mut depth = 1u32;
-        let mut traversal_bits = 0u32;
-        let mut r_start = 0u32; // rank(level_start), carried across levels
-        loop {
-            let gp = level_start + pos;
-            let child = self.bits.rank_hot(gp) - r_start;
-            let next_start = level_start + level_size;
-            if !self.bits.bit(gp) {
-                // First zero on the chain: flip it, give it a child slot.
-                self.bits.set_bit(gp);
-                self.bits.insert_zero_hot(next_start + child);
-                return Ok(IncrementReport {
-                    new_count: depth,
-                    traversal_bits,
-                });
-            }
-            let r_next = self.bits.rank_hot(next_start);
-            let next_size = r_next - r_start;
-            level_start = next_start;
-            level_size = next_size;
-            r_start = r_next;
-            pos = child;
-            depth += 1;
-            traversal_bits += bits_for(u64::from(next_size));
-        }
+        self.increment_routed(p, b1, &KernelOps::accelerated())
     }
 
-    /// Portable baseline for [`HcbfWord::increment`]: the naive
+    /// Decrements the counter at first-level position `p` through the
+    /// best available kernel; see [`HcbfWord::decrement_routed`].
+    #[inline]
+    pub fn decrement(&mut self, p: u32, b1: u32) -> Result<DecrementReport, WordError> {
+        self.decrement_routed(p, b1, &KernelOps::accelerated())
+    }
+
+    /// Portable baseline for [`HcbfWord::increment_routed`]: the naive
     /// `rank_range`-per-level walk with no kernel dispatch. Kept verbatim
-    /// for differential tests pinning the hot walk bit-identical.
+    /// for differential tests pinning the routed walk bit-identical under
+    /// both kernels.
     pub fn increment_reference(&mut self, p: u32, b1: u32) -> Result<IncrementReport, WordError> {
         debug_assert!(p < b1 && b1 <= W::BITS);
         if self.used_bits(b1) >= W::BITS {
@@ -253,53 +235,19 @@ impl<W: Word> HcbfWord<W> {
         }
     }
 
-    /// Decrements the counter at first-level position `p`.
+    /// Increments the counter at first-level position `p`, with every
+    /// primitive routed through `ops` (the one increment walk).
     ///
-    /// Walks to the deepest one on the chain, removes its (zero) child
-    /// slot and clears the bit — the mirror of [`HcbfWord::increment`].
-    /// Fails with [`WordError::ZeroCounter`] if the counter is zero,
-    /// leaving the word unchanged.
-    pub fn decrement(&mut self, p: u32, b1: u32) -> Result<DecrementReport, WordError> {
-        debug_assert!(p < b1 && b1 <= W::BITS);
-        if !self.bits.bit(p) {
-            return Err(WordError::ZeroCounter);
-        }
-        let mut level_start = 0u32;
-        let mut level_size = b1;
-        let mut pos = p;
-        let mut depth = 1u32;
-        let mut traversal_bits = 0u32;
-        let mut r_start = 0u32; // rank(level_start), carried across levels
-        loop {
-            let gp = level_start + pos;
-            let child = self.bits.rank_hot(gp) - r_start;
-            let next_start = level_start + level_size;
-            let child_gp = next_start + child;
-            if !self.bits.bit(child_gp) {
-                // `gp` is the deepest one: drop its child slot, clear it.
-                self.bits.remove_bit_hot(child_gp);
-                self.bits.clear_bit(gp);
-                return Ok(DecrementReport {
-                    new_count: depth - 1,
-                    traversal_bits,
-                });
-            }
-            let r_next = self.bits.rank_hot(next_start);
-            let next_size = r_next - r_start;
-            level_start = next_start;
-            level_size = next_size;
-            r_start = r_next;
-            pos = child;
-            depth += 1;
-            traversal_bits += bits_for(u64::from(next_size));
-        }
-    }
-
-    /// [`HcbfWord::increment`] through a batch-resolved kernel bundle
-    /// ([`mpcbf_bitvec::Kernel::batch`]): the same carried-rank walk, but
-    /// dispatch rides the bundle tag resolved once per batch instead of
-    /// the cached atomic load every primitive pays. Bit-identical to
-    /// [`HcbfWord::increment`] by the routed-tier differential tests.
+    /// Walks the chain of ones to its first zero, flips it, and splices a
+    /// zero child slot into the next level. Carried-rank walk: like
+    /// [`HcbfWord::counter`], each level costs two masked popcounts. Fails
+    /// with [`WordError::Overflow`] when the word has no spare bit,
+    /// leaving the word unchanged; the caller maps it to the filter-level
+    /// error via [`WordError::at`] with the real word index.
+    ///
+    /// Under [`KernelOps::portable`] the tag branch folds away at compile
+    /// time: the bulk sweep runs this walk that way, millions of staged
+    /// increments back to back.
     #[inline(always)]
     pub fn increment_routed(
         &mut self,
@@ -322,6 +270,7 @@ impl<W: Word> HcbfWord<W> {
             let child = self.bits.rank_routed(gp, ops) - r_start;
             let next_start = level_start + level_size;
             if !self.bits.bit(gp) {
+                // First zero on the chain: flip it, give it a child slot.
                 self.bits.set_bit(gp);
                 self.bits.insert_zero_routed(next_start + child, ops);
                 return Ok(IncrementReport {
@@ -340,51 +289,14 @@ impl<W: Word> HcbfWord<W> {
         }
     }
 
-    /// [`HcbfWord::increment`] with every primitive statically inlined:
-    /// the bulk sweep's walk. A sweep applies millions of staged
-    /// increments back to back, and at that rate the per-primitive
-    /// indirect call of the routed tier costs more than any accelerated
-    /// kernel saves — the portable primitives inline to two or three
-    /// instructions each. Bit-identical to [`HcbfWord::increment`] and
-    /// [`HcbfWord::increment_routed`]: same carried-rank walk over the
-    /// same primitives, differing only in dispatch.
-    #[inline]
-    pub fn increment_inline(&mut self, p: u32, b1: u32) -> Result<IncrementReport, WordError> {
-        debug_assert!(p < b1 && b1 <= W::BITS);
-        if self.used_bits(b1) >= W::BITS {
-            return Err(WordError::Overflow);
-        }
-        let mut level_start = 0u32;
-        let mut level_size = b1;
-        let mut pos = p;
-        let mut depth = 1u32;
-        let mut traversal_bits = 0u32;
-        let mut r_start = 0u32; // rank(level_start), carried across levels
-        loop {
-            let gp = level_start + pos;
-            let child = self.bits.rank(gp) - r_start;
-            let next_start = level_start + level_size;
-            if !self.bits.bit(gp) {
-                self.bits.set_bit(gp);
-                self.bits.insert_zero(next_start + child);
-                return Ok(IncrementReport {
-                    new_count: depth,
-                    traversal_bits,
-                });
-            }
-            let r_next = self.bits.rank(next_start);
-            let next_size = r_next - r_start;
-            level_start = next_start;
-            level_size = next_size;
-            r_start = r_next;
-            pos = child;
-            depth += 1;
-            traversal_bits += bits_for(u64::from(next_size));
-        }
-    }
-
-    /// [`HcbfWord::decrement`] through a batch-resolved kernel bundle;
-    /// see [`HcbfWord::increment_routed`].
+    /// Decrements the counter at first-level position `p`, with every
+    /// primitive routed through `ops` (the one decrement walk).
+    ///
+    /// Walks to the deepest one on the chain, removes its (zero) child
+    /// slot and clears the bit — the mirror of
+    /// [`HcbfWord::increment_routed`]. Fails with
+    /// [`WordError::ZeroCounter`] if the counter is zero, leaving the word
+    /// unchanged.
     #[inline(always)]
     pub fn decrement_routed(
         &mut self,
@@ -408,6 +320,7 @@ impl<W: Word> HcbfWord<W> {
             let next_start = level_start + level_size;
             let child_gp = next_start + child;
             if !self.bits.bit(child_gp) {
+                // `gp` is the deepest one: drop its child slot, clear it.
                 self.bits.remove_bit_routed(child_gp, ops);
                 self.bits.clear_bit(gp);
                 return Ok(DecrementReport {
@@ -426,7 +339,7 @@ impl<W: Word> HcbfWord<W> {
         }
     }
 
-    /// Portable baseline for [`HcbfWord::decrement`]; see
+    /// Portable baseline for [`HcbfWord::decrement_routed`]; see
     /// [`HcbfWord::increment_reference`].
     pub fn decrement_reference(&mut self, p: u32, b1: u32) -> Result<DecrementReport, WordError> {
         debug_assert!(p < b1 && b1 <= W::BITS);
@@ -499,52 +412,25 @@ impl<W: Word> HcbfWord<W> {
         (true, evaluated)
     }
 
-    /// Applies [`HcbfWord::increment`] to every position in order,
+    /// [`HcbfWord::increment_all_routed`] through the best available
+    /// kernel.
+    #[inline]
+    pub fn increment_all(&mut self, probes: &[u32], b1: u32) -> Result<u32, WordError> {
+        self.increment_all_routed(probes, b1, &KernelOps::accelerated())
+    }
+
+    /// [`HcbfWord::decrement_all_routed`] through the best available
+    /// kernel.
+    #[inline]
+    pub fn decrement_all(&mut self, probes: &[u32], b1: u32) -> Result<u32, WordError> {
+        self.decrement_all_routed(probes, b1, &KernelOps::accelerated())
+    }
+
+    /// Applies [`HcbfWord::increment_routed`] to every position in order,
     /// all-or-nothing: on the first overflow the word is rolled back to
     /// its state before this call and the error returned. On success,
-    /// returns the summed traversal bits of all increments.
-    pub fn increment_all(&mut self, probes: &[u32], b1: u32) -> Result<u32, WordError> {
-        let mut traversal_bits = 0u32;
-        for (i, &p) in probes.iter().enumerate() {
-            match self.increment(p, b1) {
-                Ok(r) => traversal_bits += r.traversal_bits,
-                Err(e) => {
-                    for &q in probes[..i].iter().rev() {
-                        self.decrement(q, b1)
-                            .expect("rollback of a fresh increment cannot fail");
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(traversal_bits)
-    }
-
-    /// Applies [`HcbfWord::decrement`] to every position in order,
-    /// all-or-nothing: on the first zero counter the word is rolled back
-    /// and [`WordError::ZeroCounter`] returned. On success, returns the
-    /// summed traversal bits of all decrements.
-    pub fn decrement_all(&mut self, probes: &[u32], b1: u32) -> Result<u32, WordError> {
-        let mut traversal_bits = 0u32;
-        for (i, &p) in probes.iter().enumerate() {
-            match self.decrement(p, b1) {
-                Ok(r) => traversal_bits += r.traversal_bits,
-                Err(e) => {
-                    for &q in probes[..i].iter().rev() {
-                        self.increment(q, b1)
-                            .expect("rollback of a fresh decrement cannot fail");
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(traversal_bits)
-    }
-
-    /// [`HcbfWord::increment_all`] through a batch-resolved kernel bundle:
-    /// the all-or-nothing contract with every walk (including rollback)
-    /// routed via `ops`. The batch insert path resolves routing once and
-    /// drives every word through this.
+    /// returns the summed traversal bits of all increments. Every walk,
+    /// rollback included, is routed via `ops`.
     ///
     /// The four routed walks are `#[inline(always)]`: once the sharded
     /// filter's scalar and batch calls shared one walk, codegen left them
@@ -573,8 +459,11 @@ impl<W: Word> HcbfWord<W> {
         Ok(traversal_bits)
     }
 
-    /// [`HcbfWord::decrement_all`] through a batch-resolved kernel bundle;
-    /// see [`HcbfWord::increment_all_routed`].
+    /// Applies [`HcbfWord::decrement_routed`] to every position in order,
+    /// all-or-nothing: on the first zero counter the word is rolled back
+    /// and [`WordError::ZeroCounter`] returned. On success, returns the
+    /// summed traversal bits of all decrements; see
+    /// [`HcbfWord::increment_all_routed`].
     #[inline(always)]
     pub fn decrement_all_routed(
         &mut self,
@@ -598,7 +487,7 @@ impl<W: Word> HcbfWord<W> {
         Ok(traversal_bits)
     }
 
-    /// Portable baseline for [`HcbfWord::increment_all`]: the same
+    /// Portable baseline for [`HcbfWord::increment_all_routed`]: the same
     /// all-or-nothing contract driven entirely by the reference walks.
     pub fn increment_all_reference(&mut self, probes: &[u32], b1: u32) -> Result<u32, WordError> {
         let mut traversal_bits = 0u32;
@@ -617,7 +506,7 @@ impl<W: Word> HcbfWord<W> {
         Ok(traversal_bits)
     }
 
-    /// Portable baseline for [`HcbfWord::decrement_all`]; see
+    /// Portable baseline for [`HcbfWord::decrement_all_routed`]; see
     /// [`HcbfWord::increment_all_reference`].
     pub fn decrement_all_reference(&mut self, probes: &[u32], b1: u32) -> Result<u32, WordError> {
         let mut traversal_bits = 0u32;
@@ -678,6 +567,103 @@ impl<W: Word> HcbfWord<W> {
         }
         Ok(())
     }
+}
+
+/// Queries one key against its planned words: groups in plan order,
+/// probes in stream order, stopping at the first zero bit (the one query
+/// walk of [`crate::Mpcbf`] and the sharded filter). `group(t)` is the
+/// key's group `t` as `(word, in-word probes)` for `t < g` — from a
+/// [`crate::ProbePlan`] (scalar) or a [`crate::PlanBuffer`] entry (batch).
+///
+/// Returns `(member, groups evaluated, probes evaluated)`: the scalar
+/// short-circuit accounting the paper's metering charges.
+#[inline(always)]
+pub fn query_walk<'p, W: Word>(
+    words: &[HcbfWord<W>],
+    g: usize,
+    group: impl Fn(usize) -> (usize, &'p [u32]),
+) -> (bool, u32, u32) {
+    let mut probes_eval = 0u32;
+    for t in 0..g {
+        let (word, probes) = group(t);
+        let (all_set, evaluated) = words[word].query_all(probes);
+        probes_eval += evaluated;
+        if !all_set {
+            return (false, t as u32 + 1, probes_eval);
+        }
+    }
+    (true, g as u32, probes_eval)
+}
+
+/// Inserts one key into its planned words, group by group through `ops`,
+/// returning the summed traversal bits. On overflow every applied group
+/// is rolled back by re-reading it through `group` (no allocation), and
+/// [`FilterError::WordOverflow`] names the word (an index into `words`).
+///
+/// A rollback step that itself fails means the word no longer holds what
+/// this call just wrote — damage, not overflow — and is reported as
+/// [`FilterError::CorruptionDetected`] with the word's segment in
+/// `words`, never a panic (which, under a lock, would poison it).
+#[inline(always)]
+pub fn insert_walk<'p, W: Word>(
+    words: &mut [HcbfWord<W>],
+    g: usize,
+    group: impl Fn(usize) -> (usize, &'p [u32]),
+    b1: u32,
+    ops: &KernelOps,
+) -> Result<u32, FilterError> {
+    let mut traversal_bits = 0u32;
+    for t in 0..g {
+        let (word, probes) = group(t);
+        match words[word].increment_all_routed(probes, b1, ops) {
+            Ok(bits) => traversal_bits += bits,
+            Err(_) => {
+                for u in (0..t).rev() {
+                    let (rw, rp) = group(u);
+                    if words[rw].decrement_all_routed(rp, b1, ops).is_err() {
+                        return Err(FilterError::CorruptionDetected {
+                            segment: segment_of(rw),
+                        });
+                    }
+                }
+                return Err(FilterError::WordOverflow { word });
+            }
+        }
+    }
+    Ok(traversal_bits)
+}
+
+/// Removes one key from its planned words — the mirror of
+/// [`insert_walk`]: if the element turns out absent every applied group
+/// is rolled back and [`FilterError::NotPresent`] returned; a failed
+/// rollback reports [`FilterError::CorruptionDetected`].
+#[inline(always)]
+pub fn remove_walk<'p, W: Word>(
+    words: &mut [HcbfWord<W>],
+    g: usize,
+    group: impl Fn(usize) -> (usize, &'p [u32]),
+    b1: u32,
+    ops: &KernelOps,
+) -> Result<u32, FilterError> {
+    let mut traversal_bits = 0u32;
+    for t in 0..g {
+        let (word, probes) = group(t);
+        match words[word].decrement_all_routed(probes, b1, ops) {
+            Ok(bits) => traversal_bits += bits,
+            Err(_) => {
+                for u in (0..t).rev() {
+                    let (rw, rp) = group(u);
+                    if words[rw].increment_all_routed(rp, b1, ops).is_err() {
+                        return Err(FilterError::CorruptionDetected {
+                            segment: segment_of(rw),
+                        });
+                    }
+                }
+                return Err(FilterError::NotPresent);
+            }
+        }
+    }
+    Ok(traversal_bits)
 }
 
 #[cfg(test)]
@@ -898,12 +884,11 @@ mod tests {
     }
 
     #[test]
-    fn routed_walks_match_hot_walks() {
-        // Both bundles of one batch resolution must yield bit-identical
-        // words and reports to the dispatched hot walks, step for step.
-        let bk = mpcbf_bitvec::Kernel::batch();
-        for ops in [bk.query, bk.update] {
-            let mut hot = H64::new();
+    fn routed_walks_match_reference_walks_under_both_kernels() {
+        // Both bundles must yield bit-identical words and reports to the
+        // reference walks, step for step.
+        for ops in [KernelOps::portable(), KernelOps::accelerated()] {
+            let mut reference = H64::new();
             let mut routed = H64::new();
             let mut s = 0x9e37_79b9_7f4a_7c15u64;
             let mut rand = move || {
@@ -915,33 +900,33 @@ mod tests {
             for _ in 0..3_000 {
                 let p = (rand() % 40) as u32;
                 if rand() % 3 == 0 {
-                    let a = hot.decrement(p, 40);
+                    let a = reference.decrement_reference(p, 40);
                     let b = routed.decrement_routed(p, 40, &ops);
                     assert_eq!(a, b);
-                } else if hot.remaining_capacity(40) > 0 {
-                    let a = hot.increment(p, 40);
+                } else if reference.remaining_capacity(40) > 0 {
+                    let a = reference.increment_reference(p, 40);
                     let b = routed.increment_routed(p, 40, &ops);
                     assert_eq!(a, b);
                 }
-                assert_eq!(hot.raw(), routed.raw());
+                assert_eq!(reference.raw(), routed.raw());
             }
         }
     }
 
     #[test]
-    fn routed_batches_match_plain_batches() {
-        let bk = mpcbf_bitvec::Kernel::batch();
+    fn portable_and_accelerated_batches_agree() {
         let probes = [3u32, 3, 17, 0, 9];
+        let (portable, accelerated) = (KernelOps::portable(), KernelOps::accelerated());
         let mut plain = H64::new();
         let mut routed = H64::new();
         assert_eq!(
-            plain.increment_all(&probes, 40),
-            routed.increment_all_routed(&probes, 40, &bk.update)
+            plain.increment_all_routed(&probes, 40, &portable),
+            routed.increment_all_routed(&probes, 40, &accelerated)
         );
         assert_eq!(plain.raw(), routed.raw());
         assert_eq!(
-            plain.decrement_all(&probes, 40),
-            routed.decrement_all_routed(&probes, 40, &bk.update)
+            plain.decrement_all_routed(&probes, 40, &portable),
+            routed.decrement_all_routed(&probes, 40, &accelerated)
         );
         assert_eq!(plain.raw(), routed.raw());
         // Rollback on failure is routed too and leaves the word intact.
@@ -950,11 +935,13 @@ mod tests {
             w.increment(0, 10).unwrap();
         }
         let before = *w.raw();
-        assert_eq!(
-            w.increment_all_routed(&[1, 2, 3], 10, &bk.update),
-            Err(WordError::Overflow)
-        );
-        assert_eq!(*w.raw(), before);
+        for ops in [portable, accelerated] {
+            assert_eq!(
+                w.increment_all_routed(&[1, 2, 3], 10, &ops),
+                Err(WordError::Overflow)
+            );
+            assert_eq!(*w.raw(), before);
+        }
     }
 
     #[test]

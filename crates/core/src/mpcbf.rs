@@ -19,16 +19,18 @@
 //! multiset.
 
 use crate::config::MpcbfConfig;
-use crate::hcbf::{HcbfWord, WordError};
-use crate::metrics::{HealthReport, OpCost, WordTouches};
-use crate::plan::{distinct_words, PlanBuffer, SMALL_BATCH};
+use crate::hcbf::{insert_walk, query_walk, remove_walk, HcbfWord};
+use crate::metrics::{HealthReport, OpCost};
+use crate::plan::{distinct_words, PlanBuffer, ProbePlan, SMALL_BATCH};
 use crate::scrub::{segment_of, FilterSeal, ScrubReport};
-use crate::traits::{CountingFilter, Filter};
-use crate::{split_hashes, FilterError, GROUP_SALT, WORD_SALT};
+use crate::traits::{
+    contains_batch_scalar, insert_batch_scalar, remove_batch_scalar, settle, CountingFilter, Filter,
+};
+use crate::FilterError;
 use mpcbf_analysis::heuristic::MpcbfShape;
-use mpcbf_bitvec::{AlignedVec, Kernel, Word};
+use mpcbf_bitvec::{AlignedVec, KernelOps, Word};
 use mpcbf_hash::mix::bits_for;
-use mpcbf_hash::{DoubleHasher, Hasher128, Murmur3};
+use mpcbf_hash::{Hasher128, Murmur3};
 use std::marker::PhantomData;
 
 /// In-flight word walks per interleaved query block.
@@ -151,18 +153,15 @@ impl<W: Word, H: Hasher128> Mpcbf<W, H> {
     /// counters (the count-min reading of a CBF; an overestimate, never
     /// an underestimate, for elements inserted without overflow).
     pub fn estimate_count(&self, key: &(impl mpcbf_hash::Key + ?Sized)) -> u32 {
-        let bytes = key.key_bytes();
+        let plan = self.plan(key.key_bytes().as_slice());
         let b1 = self.shape.b1;
-        let mut min = u32::MAX;
-        self.for_each_position(bytes.as_slice(), |word, p, _| {
-            min = min.min(self.words[word].counter(p, b1));
-            min > 0 // short-circuit once provably absent
-        });
-        if min == u32::MAX {
-            0
-        } else {
-            min
-        }
+        let word_min = |(word, probes): (usize, &[u32])| {
+            probes
+                .iter()
+                .map(|&p| self.words[word].counter(p, b1))
+                .min()
+        };
+        plan.groups().filter_map(word_min).min().unwrap_or(0)
     }
 
     /// Merges `other` into `self` by adding counters position-wise — the
@@ -199,46 +198,69 @@ impl<W: Word, H: Hasher128> Mpcbf<W, H> {
         Ok(())
     }
 
-    /// Visits the hashed (word, position, group) triples of `key`;
-    /// `visit` returning `false` short-circuits. Returns
-    /// (words evaluated, positions evaluated).
+    /// Hashes `key` and plans its probes: the `g` words and per-group
+    /// positions every scalar operation walks.
     #[inline]
-    fn for_each_position(
-        &self,
-        key: &[u8],
-        mut visit: impl FnMut(usize, u32, u32) -> bool,
-    ) -> (u32, u32) {
-        let digest = H::hash128(self.seed, key);
-        let mut word_picker = DoubleHasher::with_salt(digest, WORD_SALT, self.shape.l);
-        let mut words_eval = 0u32;
-        let mut pos_eval = 0u32;
-        'outer: for t in 0..self.shape.g {
-            let word = word_picker.next_index();
-            words_eval += 1;
-            let k_t = split_hashes(self.shape.k, self.shape.g, t);
-            let mut inner = DoubleHasher::with_salt(
-                digest,
-                GROUP_SALT ^ u64::from(t),
-                u64::from(self.shape.b1),
-            );
-            for _ in 0..k_t {
-                let p = inner.next_index() as u32;
-                pos_eval += 1;
-                if !visit(word, p, t) {
-                    break 'outer;
-                }
-            }
-        }
-        (words_eval, pos_eval)
+    fn plan(&self, key: &[u8]) -> ProbePlan {
+        ProbePlan::partitioned(
+            H::hash128(self.seed, key),
+            self.shape.l,
+            self.shape.k,
+            self.shape.g,
+            u64::from(self.shape.b1),
+        )
     }
 
+    /// The metered cost of one walk: `words` are the planned words of the
+    /// groups it evaluated (each distinct word is one memory access),
+    /// `probes` the in-word positions it evaluated, and `traversal_bits`
+    /// an update's hierarchy address bits.
     #[inline]
-    fn base_cost(&self, words_eval: u32, pos_eval: u32, touches: &WordTouches) -> OpCost {
+    fn cost(&self, words: &[u32], probes: u32, traversal_bits: u32) -> OpCost {
         OpCost {
-            word_accesses: touches.count(),
-            hash_bits: words_eval * bits_for(self.shape.l)
-                + pos_eval * bits_for(u64::from(self.shape.b1)),
+            word_accesses: distinct_words(words),
+            hash_bits: words.len() as u32 * bits_for(self.shape.l)
+                + probes * bits_for(u64::from(self.shape.b1))
+                + traversal_bits,
         }
+    }
+
+    /// Inserts one planned key — `words` its planned words, `group(t)`
+    /// its groups — through the group walk, and meters it. The scalar and
+    /// batch inserts both run this.
+    #[inline(always)]
+    fn insert_planned<'p>(
+        &mut self,
+        words: &[u32],
+        group: impl Fn(usize) -> (usize, &'p [u32]),
+        ops: &KernelOps,
+    ) -> Result<OpCost, FilterError> {
+        match insert_walk(&mut self.words, words.len(), group, self.shape.b1, ops) {
+            Ok(traversal_bits) => {
+                self.items += 1;
+                Ok(self.cost(words, self.shape.k, traversal_bits))
+            }
+            Err(e) => {
+                if matches!(e, FilterError::WordOverflow { .. }) {
+                    self.overflows += 1;
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// Removes one planned key through the group walk and meters it; the
+    /// mirror of [`Mpcbf::insert_planned`].
+    #[inline(always)]
+    fn remove_planned<'p>(
+        &mut self,
+        words: &[u32],
+        group: impl Fn(usize) -> (usize, &'p [u32]),
+        ops: &KernelOps,
+    ) -> Result<OpCost, FilterError> {
+        let traversal_bits = remove_walk(&mut self.words, words.len(), group, self.shape.b1, ops)?;
+        self.items = self.items.saturating_sub(1);
+        Ok(self.cost(words, self.shape.k, traversal_bits))
     }
 
     /// Structural self-check: re-walks every word's hierarchy levels
@@ -290,8 +312,8 @@ impl<W: Word, H: Hasher128> Mpcbf<W, H> {
 
     /// Stage 1 of the batch pipeline: hash every key into the caller's
     /// [`PlanBuffer`] — the same word-selector and per-group streams as
-    /// [`Mpcbf::for_each_position`], with zero allocation once the buffer
-    /// is warm.
+    /// [`ProbePlan::partitioned`], with zero allocation once the buffer is
+    /// warm.
     fn plan_into(&self, keys: &[&[u8]], plans: &mut PlanBuffer) {
         plans.plan_partitioned(
             keys.iter().map(|key| H::hash128(self.seed, key)),
@@ -301,76 +323,22 @@ impl<W: Word, H: Hasher128> Mpcbf<W, H> {
             u64::from(self.shape.b1),
         );
     }
-
-    /// Probes one planned key sequentially (the g > [`MAX_SNAP_GROUPS`]
-    /// query fallback), returning `(member, words_eval, pos_eval)` with
-    /// exact scalar short-circuit accounting.
-    #[inline]
-    fn query_planned(&self, plans: &PlanBuffer, i: usize) -> (bool, u32, u32) {
-        let mut words_eval = 0u32;
-        let mut pos_eval = 0u32;
-        for (word, probes) in plans.groups_of(i) {
-            words_eval += 1;
-            let (all_set, evaluated) = self.words[word].query_all(probes);
-            pos_eval += evaluated;
-            if !all_set {
-                return (false, words_eval, pos_eval);
-            }
-        }
-        (true, words_eval, pos_eval)
-    }
 }
 
 impl<W: Word, H: Hasher128> Filter for Mpcbf<W, H> {
     fn contains_bytes_cost(&self, key: &[u8]) -> (bool, OpCost) {
-        let mut touches = WordTouches::new();
-        let mut member = true;
-        let (we, pe) = self.for_each_position(key, |word, p, _| {
-            touches.touch(word);
-            if self.words[word].query(p) {
-                true
-            } else {
-                member = false;
-                false
-            }
-        });
-        (member, self.base_cost(we, pe, &touches))
+        let plan = self.plan(key);
+        let (member, groups, probes) =
+            query_walk(&self.words, plan.group_count(), |t| plan.group(t));
+        (
+            member,
+            self.cost(&plan.words()[..groups as usize], probes, 0),
+        )
     }
 
     fn insert_bytes_cost(&mut self, key: &[u8]) -> Result<OpCost, FilterError> {
-        let mut touches = WordTouches::new();
-        let b1 = self.shape.b1;
-        // Collect targets first (immutable pass), then apply with rollback.
-        let mut targets = [(0usize, 0u32); 64];
-        let mut n = 0usize;
-        let (we, pe) = self.for_each_position(key, |word, p, _| {
-            touches.touch(word);
-            targets[n] = (word, p);
-            n += 1;
-            true
-        });
-        let mut traversal_bits = 0u32;
-        for i in 0..n {
-            let (word, p) = targets[i];
-            match self.words[word].increment(p, b1) {
-                Ok(report) => traversal_bits += report.traversal_bits,
-                Err(e) => {
-                    debug_assert_eq!(e, WordError::Overflow);
-                    // Roll back the increments already applied.
-                    for &(rw, rp) in targets[..i].iter().rev() {
-                        self.words[rw]
-                            .decrement(rp, b1)
-                            .expect("rollback decrement must succeed");
-                    }
-                    self.overflows += 1;
-                    return Err(e.at(word));
-                }
-            }
-        }
-        self.items += 1;
-        let mut cost = self.base_cost(we, pe, &touches);
-        cost.hash_bits += traversal_bits;
-        Ok(cost)
+        let plan = self.plan(key);
+        self.insert_planned(plan.words(), |t| plan.group(t), &KernelOps::accelerated())
     }
 
     fn memory_bits(&self) -> u64 {
@@ -381,39 +349,29 @@ impl<W: Word, H: Hasher128> Filter for Mpcbf<W, H> {
         self.shape.k
     }
 
-    /// Batch query via the fused pipeline with a fresh plan buffer; hold
-    /// a [`PlanBuffer`] and call [`Filter::contains_batch_with`] to skip
-    /// the per-call allocation.
-    fn contains_batch_cost(&self, keys: &[&[u8]]) -> (Vec<bool>, OpCost) {
-        self.contains_batch_with(keys, &mut PlanBuffer::new())
-    }
-
     /// Fused batch query: hash every key into the caller's plan buffer,
-    /// then walk [`LANES`] keys' word sets concurrently — each block first
+    /// then walk `LANES` keys' word sets concurrently — each block first
     /// snapshots every lane's planned HCBF words (independent loads the
-    /// CPU overlaps), then evaluates verdicts from the snapshots with the
-    /// scalar evaluation order and short-circuit accounting. Batches below
-    /// [`SMALL_BATCH`] degrade to the scalar loop, which is observationally
-    /// identical and skips the plan stage.
+    /// CPU overlaps), then runs the query walk over the snapshots, with
+    /// the scalar evaluation order and short-circuit accounting. Batches
+    /// below [`SMALL_BATCH`] degrade to the scalar loop, which is
+    /// observationally identical and skips the plan stage.
     fn contains_batch_with(&self, keys: &[&[u8]], plans: &mut PlanBuffer) -> (Vec<bool>, OpCost) {
         if keys.len() < SMALL_BATCH {
-            let mut hits = Vec::with_capacity(keys.len());
-            let mut total = OpCost::zero();
-            for key in keys {
-                let (hit, cost) = self.contains_bytes_cost(key);
-                hits.push(hit);
-                total = total.add(cost);
-            }
-            return (hits, total);
+            return contains_batch_scalar(self, keys);
         }
         self.plan_into(keys, plans);
-        let g = self.shape.g as usize;
+        let plans = &*plans;
+        let g = plans.group_count();
         let mut hits = Vec::with_capacity(keys.len());
         let mut total = OpCost::zero();
+        let mut record = |i: usize, (member, groups, probes): (bool, u32, u32)| {
+            hits.push(member);
+            total = total.add(self.cost(&plans.words_of(i)[..groups as usize], probes, 0));
+        };
         if g <= MAX_SNAP_GROUPS {
             let mut snap = [[HcbfWord::<W>::new(); MAX_SNAP_GROUPS]; LANES];
-            let mut block = 0usize;
-            while block < keys.len() {
+            for block in (0..keys.len()).step_by(LANES) {
                 let lanes = LANES.min(keys.len() - block);
                 // Phase 1: issue every lane's word loads back to back, so
                 // up to LANES * g independent fetches are in flight before
@@ -424,61 +382,26 @@ impl<W: Word, H: Hasher128> Filter for Mpcbf<W, H> {
                         *slot = self.words[word as usize];
                     }
                 }
-                // Phase 2: evaluate each lane from its snapshot, replaying
-                // the scalar order (groups in plan order, probes in stream
-                // order, short-circuit on the first zero bit).
+                // Phase 2: walk each lane's snapshot (group `t` sits in
+                // slot `t`).
                 for (lane, snap_words) in snap.iter().enumerate().take(lanes) {
                     let i = block + lane;
-                    let mut words_eval = 0u32;
-                    let mut pos_eval = 0u32;
-                    let mut member = true;
-                    for (t, word) in snap_words.iter().enumerate().take(g) {
-                        words_eval += 1;
-                        let (_, probes) = plans.group(i, t);
-                        let (all_set, evaluated) = word.query_all(probes);
-                        pos_eval += evaluated;
-                        if !all_set {
-                            member = false;
-                            break;
-                        }
-                    }
-                    hits.push(member);
-                    total = total.add(OpCost {
-                        word_accesses: distinct_words(&plans.words_of(i)[..words_eval as usize]),
-                        hash_bits: words_eval * bits_for(self.shape.l)
-                            + pos_eval * bits_for(u64::from(self.shape.b1)),
-                    });
+                    record(i, query_walk(snap_words, g, |t| (t, plans.group(i, t).1)));
                 }
-                block += lanes;
             }
         } else {
             for i in 0..keys.len() {
-                let (member, words_eval, pos_eval) = self.query_planned(plans, i);
-                hits.push(member);
-                total = total.add(OpCost {
-                    word_accesses: distinct_words(&plans.words_of(i)[..words_eval as usize]),
-                    hash_bits: words_eval * bits_for(self.shape.l)
-                        + pos_eval * bits_for(u64::from(self.shape.b1)),
-                });
+                record(i, query_walk(&self.words, g, |t| plans.group(i, t)));
             }
         }
         (hits, total)
     }
 
-    /// Batch insert via the fused pipeline with a fresh plan buffer; hold
-    /// a [`PlanBuffer`] and call [`Filter::insert_batch_with`] to skip the
-    /// per-call allocation.
-    fn insert_batch_cost(&mut self, keys: &[&[u8]]) -> (Vec<Result<(), FilterError>>, OpCost) {
-        self.insert_batch_with(keys, &mut PlanBuffer::new())
-    }
-
-    /// Fused batch insert: keys are applied strictly in order via
-    /// [`HcbfWord::increment_all_routed`] per group, with the update
-    /// kernel bundle resolved **once** for the whole batch
-    /// ([`Kernel::batch`]) instead of a cached-atomic load per word probe.
-    /// A word overflow rolls back that key's earlier groups through the
-    /// plan buffer (no allocation; the HCBF encoding is canonical in the
-    /// counter multiset, so the filter is left bit-identical to never
+    /// Fused batch insert: keys are applied strictly in order through the
+    /// group walk, with the update kernel resolved **once** for the whole
+    /// batch. A word overflow rolls back that key's earlier groups through
+    /// the plan buffer (no allocation; the HCBF encoding is canonical in
+    /// the counter multiset, so the filter is left bit-identical to never
     /// having attempted the key) and is reported per key. Batches below
     /// [`SMALL_BATCH`] degrade to the scalar loop.
     fn insert_batch_with(
@@ -487,174 +410,42 @@ impl<W: Word, H: Hasher128> Filter for Mpcbf<W, H> {
         plans: &mut PlanBuffer,
     ) -> (Vec<Result<(), FilterError>>, OpCost) {
         if keys.len() < SMALL_BATCH {
-            let mut results = Vec::with_capacity(keys.len());
-            let mut total = OpCost::zero();
-            for key in keys {
-                match self.insert_bytes_cost(key) {
-                    Ok(cost) => {
-                        total = total.add(cost);
-                        results.push(Ok(()));
-                    }
-                    Err(e) => results.push(Err(e)),
-                }
-            }
-            return (results, total);
+            return insert_batch_scalar(self, keys);
         }
         self.plan_into(keys, plans);
-        let ops = Kernel::batch().update;
-        let b1 = self.shape.b1;
-        let mut results = Vec::with_capacity(keys.len());
-        let mut total = OpCost::zero();
-        for i in 0..keys.len() {
-            let mut traversal_bits = 0u32;
-            let mut failed: Option<(usize, WordError)> = None;
-            let mut applied_groups = 0usize;
-            for (word, probes) in plans.groups_of(i) {
-                match self.words[word].increment_all_routed(probes, b1, &ops) {
-                    Ok(bits) => {
-                        traversal_bits += bits;
-                        applied_groups += 1;
-                    }
-                    Err(e) => {
-                        debug_assert_eq!(e, WordError::Overflow);
-                        failed = Some((word, e));
-                        break;
-                    }
-                }
-            }
-            if let Some((word, e)) = failed {
-                for t in (0..applied_groups).rev() {
-                    let (rw, probes) = plans.group(i, t);
-                    self.words[rw]
-                        .decrement_all_routed(probes, b1, &ops)
-                        .expect("rollback decrement must succeed");
-                }
-                self.overflows += 1;
-                results.push(Err(e.at(word)));
-                continue;
-            }
-            self.items += 1;
-            total = total.add(OpCost {
-                word_accesses: distinct_words(plans.words_of(i)),
-                hash_bits: self.shape.g * bits_for(self.shape.l)
-                    + self.shape.k * bits_for(u64::from(self.shape.b1))
-                    + traversal_bits,
-            });
-            results.push(Ok(()));
-        }
-        (results, total)
+        let ops = KernelOps::accelerated();
+        settle(
+            (0..keys.len())
+                .map(|i| self.insert_planned(plans.words_of(i), |t| plans.group(i, t), &ops)),
+        )
     }
 }
 
 impl<W: Word, H: Hasher128> CountingFilter for Mpcbf<W, H> {
     fn remove_bytes_cost(&mut self, key: &[u8]) -> Result<OpCost, FilterError> {
-        let mut touches = WordTouches::new();
-        let b1 = self.shape.b1;
-        let mut targets = [(0usize, 0u32); 64];
-        let mut n = 0usize;
-        let (we, pe) = self.for_each_position(key, |word, p, _| {
-            touches.touch(word);
-            targets[n] = (word, p);
-            n += 1;
-            true
-        });
-        let mut traversal_bits = 0u32;
-        for i in 0..n {
-            let (word, p) = targets[i];
-            match self.words[word].decrement(p, b1) {
-                Ok(report) => traversal_bits += report.traversal_bits,
-                Err(e) => {
-                    debug_assert_eq!(e, WordError::ZeroCounter);
-                    // Roll back: the element was not (fully) present.
-                    for &(rw, rp) in targets[..i].iter().rev() {
-                        self.words[rw]
-                            .increment(rp, b1)
-                            .expect("rollback increment must succeed");
-                    }
-                    return Err(e.at(word));
-                }
-            }
-        }
-        self.items = self.items.saturating_sub(1);
-        let mut cost = self.base_cost(we, pe, &touches);
-        cost.hash_bits += traversal_bits;
-        Ok(cost)
-    }
-
-    /// Batch remove via the fused pipeline with a fresh plan buffer; hold
-    /// a [`PlanBuffer`] and call [`CountingFilter::remove_batch_with`] to
-    /// skip the per-call allocation.
-    fn remove_batch_cost(&mut self, keys: &[&[u8]]) -> (Vec<Result<(), FilterError>>, OpCost) {
-        self.remove_batch_with(keys, &mut PlanBuffer::new())
+        let plan = self.plan(key);
+        self.remove_planned(plan.words(), |t| plan.group(t), &KernelOps::accelerated())
     }
 
     /// Fused batch remove: the mirror of the batch insert — keys are
-    /// drained strictly in order via [`HcbfWord::decrement_all_routed`]
-    /// per group under one batch-resolved update bundle, with a
-    /// [`FilterError::NotPresent`] rolling back that key's earlier groups
-    /// through the plan buffer and costing nothing, exactly like the
-    /// scalar path.
+    /// drained strictly in order through the group walk under one
+    /// update kernel, with a [`FilterError::NotPresent`] rolling back that
+    /// key's earlier groups through the plan buffer and costing nothing,
+    /// exactly like the scalar path.
     fn remove_batch_with(
         &mut self,
         keys: &[&[u8]],
         plans: &mut PlanBuffer,
     ) -> (Vec<Result<(), FilterError>>, OpCost) {
         if keys.len() < SMALL_BATCH {
-            let mut results = Vec::with_capacity(keys.len());
-            let mut total = OpCost::zero();
-            for key in keys {
-                match self.remove_bytes_cost(key) {
-                    Ok(cost) => {
-                        total = total.add(cost);
-                        results.push(Ok(()));
-                    }
-                    Err(e) => results.push(Err(e)),
-                }
-            }
-            return (results, total);
+            return remove_batch_scalar(self, keys);
         }
         self.plan_into(keys, plans);
-        let ops = Kernel::batch().update;
-        let b1 = self.shape.b1;
-        let mut results = Vec::with_capacity(keys.len());
-        let mut total = OpCost::zero();
-        for i in 0..keys.len() {
-            let mut traversal_bits = 0u32;
-            let mut failed = false;
-            let mut applied_groups = 0usize;
-            for (word, probes) in plans.groups_of(i) {
-                match self.words[word].decrement_all_routed(probes, b1, &ops) {
-                    Ok(bits) => {
-                        traversal_bits += bits;
-                        applied_groups += 1;
-                    }
-                    Err(e) => {
-                        debug_assert_eq!(e, WordError::ZeroCounter);
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if failed {
-                for t in (0..applied_groups).rev() {
-                    let (rw, probes) = plans.group(i, t);
-                    self.words[rw]
-                        .increment_all_routed(probes, b1, &ops)
-                        .expect("rollback increment must succeed");
-                }
-                results.push(Err(FilterError::NotPresent));
-                continue;
-            }
-            self.items = self.items.saturating_sub(1);
-            total = total.add(OpCost {
-                word_accesses: distinct_words(plans.words_of(i)),
-                hash_bits: self.shape.g * bits_for(self.shape.l)
-                    + self.shape.k * bits_for(u64::from(self.shape.b1))
-                    + traversal_bits,
-            });
-            results.push(Ok(()));
-        }
-        (results, total)
+        let ops = KernelOps::accelerated();
+        settle(
+            (0..keys.len())
+                .map(|i| self.remove_planned(plans.words_of(i), |t| plans.group(i, t), &ops)),
+        )
     }
 }
 

@@ -19,8 +19,8 @@
 //! Two containers hold plans:
 //!
 //! * [`ProbePlan`] — one key's plan as a flat fixed-size value, for the
-//!   single-key planned paths (e.g. the sharded filter's scalar
-//!   operations).
+//!   single-key planned paths (`Mpcbf`'s and the concurrent filters'
+//!   scalar operations).
 //! * [`PlanBuffer`] — a whole batch's plans in compact structure-of-arrays
 //!   storage that callers hold across batches. Per key it stores exactly
 //!   `g` word indices and `k` slots (the group layout is uniform across
@@ -51,17 +51,17 @@ pub const MAX_PROBES: usize = 64;
 /// measured batch-1 query ran at 0.51x scalar before this threshold
 /// existed). Four keys is where the pipelined pass starts winning on the
 /// bench harness; below it, every filter's `_with` override falls back to
-/// the plain scalar loop — which is observationally identical by the batch
-/// contract.
+/// the scalar loop the traits' defaults run — which is observationally
+/// identical by the batch contract.
 pub const SMALL_BATCH: usize = 4;
 
 /// The precomputed probe targets of one key: the hash stage of the batch
 /// pipeline, separated from the probe stage.
 ///
 /// A plan is a flat fixed-size value (no heap). Batch paths do **not**
-/// build one per key any more — they fill a [`PlanBuffer`] — but the
-/// single-key planned paths (sharded scalar operations, the lock-free
-/// filter's scalar CAS loops) still use it.
+/// build one per key — they fill a [`PlanBuffer`] — but the single-key
+/// planned paths (`Mpcbf`'s and the sharded filter's scalar operations,
+/// the lock-free filter's scalar CAS loops) use it.
 #[derive(Debug, Clone, Copy)]
 pub struct ProbePlan {
     /// Target word per group (partitioned plans); unused for flat plans.
@@ -110,8 +110,9 @@ impl ProbePlan {
     /// per group `t` the `split_hashes(k, g, t)` positions in
     /// `[0, inner_range)` drawn from the `GROUP_SALT ^ t` stream.
     ///
-    /// This is bit-for-bit the hashing of the scalar `for_each_position`
-    /// walks in `BfG`, `Pcbf` and `Mpcbf`.
+    /// This is bit-for-bit the hashing of the scalar walks in `BfG` and
+    /// `Pcbf`; `Mpcbf` and the concurrent filters plan every scalar
+    /// operation through it.
     ///
     /// # Panics
     /// Panics if `k == 0`, `k > 64`, `g == 0` or `g > k`.
@@ -228,8 +229,9 @@ impl ProbePlan {
 /// and refills it, so after the first batch at a given size the fill does
 /// no allocation at all. The `_with` batch methods on
 /// [`Filter`](crate::Filter) / [`CountingFilter`](crate::CountingFilter)
-/// take the buffer explicitly; the plain `_batch_cost` entry points
-/// allocate a fresh one per call for API compatibility.
+/// take the buffer explicitly; the plain `_batch_cost` entry points are
+/// `_with` over a fresh buffer (an empty buffer allocates nothing until
+/// its first fused batch).
 #[derive(Debug, Clone)]
 pub struct PlanBuffer {
     /// `g` target words per key, contiguous (empty for flat plans).
@@ -410,7 +412,7 @@ mod tests {
     #[test]
     fn partitioned_matches_scalar_hashing() {
         // The plan must replay exactly the word-selector and per-group
-        // streams the scalar for_each_position walks.
+        // streams the scalar walks draw.
         let (l, k, g, b1) = (4096u64, 3u32, 2u32, 40u64);
         for key in 0..200u64 {
             let d = digest(key);

@@ -338,15 +338,9 @@ impl<H: Hasher128> Filter for ResilientMpcbf<H> {
         self.main.num_hashes()
     }
 
-    /// Pipelined batch query: the main filter's batch pass runs first,
-    /// then every miss consults the spill — observationally identical to
-    /// the scalar loop.
-    fn contains_batch_cost(&self, keys: &[&[u8]]) -> (Vec<bool>, OpCost) {
-        self.contains_batch_with(keys, &mut PlanBuffer::new())
-    }
-
-    /// Buffer-reusing twin: the scratch is threaded through to the main
-    /// filter's fused batch pass; the spill pass is unchanged.
+    /// Pipelined batch query: the main filter's batch pass runs first
+    /// (with the caller's scratch), then every miss consults the spill —
+    /// observationally identical to the scalar loop.
     fn contains_batch_with(&self, keys: &[&[u8]], plans: &mut PlanBuffer) -> (Vec<bool>, OpCost) {
         let (mut hits, mut total) = self.main.contains_batch_with(keys, plans);
         for (hit, key) in hits.iter_mut().zip(keys) {
@@ -362,11 +356,6 @@ impl<H: Hasher128> Filter for ResilientMpcbf<H> {
     /// Pipelined batch insert: the main filter applies the whole batch
     /// with its per-key rollback, then each refused key is routed to the
     /// spill in key order — the exact state a scalar loop produces.
-    fn insert_batch_cost(&mut self, keys: &[&[u8]]) -> (Vec<Result<(), FilterError>>, OpCost) {
-        self.insert_batch_with(keys, &mut PlanBuffer::new())
-    }
-
-    /// Buffer-reusing twin of [`Self::insert_batch_cost`].
     fn insert_batch_with(
         &mut self,
         keys: &[&[u8]],
@@ -399,11 +388,6 @@ impl<H: Hasher128> CountingFilter for ResilientMpcbf<H> {
     /// draining the spill), the spill removes apply directly, and the
     /// main subset goes through the main filter's pipelined batch pass.
     /// The final state and per-key results match the scalar loop exactly.
-    fn remove_batch_cost(&mut self, keys: &[&[u8]]) -> (Vec<Result<(), FilterError>>, OpCost) {
-        self.remove_batch_with(keys, &mut PlanBuffer::new())
-    }
-
-    /// Buffer-reusing twin of [`Self::remove_batch_cost`].
     fn remove_batch_with(
         &mut self,
         keys: &[&[u8]],

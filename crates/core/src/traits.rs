@@ -57,41 +57,21 @@ pub trait Filter {
     /// Batched membership check with metering: one verdict per key, in key
     /// order, plus the summed cost of the whole batch.
     ///
-    /// The default delegates to [`Filter::contains_bytes_cost`] per key.
-    /// Implementations may override with a pipelined pass (hash all keys,
-    /// prefetch all target words, then probe), but an override **must** be
-    /// observationally identical to this scalar loop: same verdicts, same
-    /// total cost (including per-key query short-circuiting).
+    /// The default runs [`Filter::contains_batch_with`] with a fresh
+    /// [`PlanBuffer`]; hold a buffer and call that method directly to skip
+    /// the per-call allocation.
     fn contains_batch_cost(&self, keys: &[&[u8]]) -> (Vec<bool>, OpCost) {
-        let mut hits = Vec::with_capacity(keys.len());
-        let mut total = OpCost::zero();
-        for key in keys {
-            let (hit, cost) = self.contains_bytes_cost(key);
-            hits.push(hit);
-            total = total.add(cost);
-        }
-        (hits, total)
+        self.contains_batch_with(keys, &mut PlanBuffer::new())
     }
 
     /// Batched insertion with metering: one result per key, in key order,
     /// plus the summed cost of the *successful* insertions (a refused
     /// insert reports no cost, exactly as the scalar call returns none).
     ///
-    /// Keys are applied strictly in order, so overrides leave the filter
-    /// in the bit-identical state a scalar loop would.
+    /// The default runs [`Filter::insert_batch_with`] with a fresh
+    /// [`PlanBuffer`].
     fn insert_batch_cost(&mut self, keys: &[&[u8]]) -> (Vec<Result<(), FilterError>>, OpCost) {
-        let mut results = Vec::with_capacity(keys.len());
-        let mut total = OpCost::zero();
-        for key in keys {
-            match self.insert_bytes_cost(key) {
-                Ok(cost) => {
-                    total = total.add(cost);
-                    results.push(Ok(()));
-                }
-                Err(e) => results.push(Err(e)),
-            }
-        }
-        (results, total)
+        self.insert_batch_with(keys, &mut PlanBuffer::new())
     }
 
     /// Batched membership check using a caller-held [`PlanBuffer`] —
@@ -103,24 +83,27 @@ pub trait Filter {
     /// contents on return are unspecified, and reusing a buffer **must**
     /// yield bit-identical verdicts and costs to a fresh one.
     ///
-    /// The default ignores the buffer and delegates to
-    /// [`Filter::contains_batch_cost`]; filters with a fused pipeline
-    /// override this and route `contains_batch_cost` through it.
+    /// The default is the scalar loop over [`Filter::contains_bytes_cost`].
+    /// Implementations may override with a pipelined pass (hash all keys,
+    /// then probe), but an override **must** be observationally identical
+    /// to that loop: same verdicts, same total cost (including per-key
+    /// query short-circuiting).
     fn contains_batch_with(&self, keys: &[&[u8]], _plans: &mut PlanBuffer) -> (Vec<bool>, OpCost) {
-        self.contains_batch_cost(keys)
+        contains_batch_scalar(self, keys)
     }
 
     /// Batched insertion using a caller-held [`PlanBuffer`]; the buffer
     /// contract is as for [`Filter::contains_batch_with`].
     ///
-    /// The default ignores the buffer and delegates to
-    /// [`Filter::insert_batch_cost`].
+    /// The default is the scalar loop over [`Filter::insert_bytes_cost`].
+    /// Keys are applied strictly in order, so overrides leave the filter
+    /// in the bit-identical state that loop would.
     fn insert_batch_with(
         &mut self,
         keys: &[&[u8]],
         _plans: &mut PlanBuffer,
     ) -> (Vec<Result<(), FilterError>>, OpCost) {
-        self.insert_batch_cost(keys)
+        insert_batch_scalar(self, keys)
     }
 
     /// Batched membership check that also reports the batch to an
@@ -199,34 +182,25 @@ pub trait CountingFilter: Filter {
     /// plus the summed cost of the *successful* deletions (removing an
     /// absent key reports [`FilterError::NotPresent`] and no cost).
     ///
-    /// Keys are applied strictly in order; overrides must leave the filter
-    /// in the bit-identical state a scalar loop would.
+    /// The default runs [`CountingFilter::remove_batch_with`] with a fresh
+    /// [`PlanBuffer`].
     fn remove_batch_cost(&mut self, keys: &[&[u8]]) -> (Vec<Result<(), FilterError>>, OpCost) {
-        let mut results = Vec::with_capacity(keys.len());
-        let mut total = OpCost::zero();
-        for key in keys {
-            match self.remove_bytes_cost(key) {
-                Ok(cost) => {
-                    total = total.add(cost);
-                    results.push(Ok(()));
-                }
-                Err(e) => results.push(Err(e)),
-            }
-        }
-        (results, total)
+        self.remove_batch_with(keys, &mut PlanBuffer::new())
     }
 
     /// Batched deletion using a caller-held [`PlanBuffer`]; the buffer
     /// contract is as for [`Filter::contains_batch_with`].
     ///
-    /// The default ignores the buffer and delegates to
-    /// [`CountingFilter::remove_batch_cost`].
+    /// The default is the scalar loop over
+    /// [`CountingFilter::remove_bytes_cost`]. Keys are applied strictly
+    /// in order; overrides must leave the filter in the bit-identical
+    /// state that loop would.
     fn remove_batch_with(
         &mut self,
         keys: &[&[u8]],
         _plans: &mut PlanBuffer,
     ) -> (Vec<Result<(), FilterError>>, OpCost) {
-        self.remove_batch_cost(keys)
+        remove_batch_scalar(self, keys)
     }
 
     /// Batched deletion that also reports the batch to an [`OpSink`].
@@ -255,4 +229,54 @@ pub trait CountingFilter: Filter {
         let views: Vec<&[u8]> = owned.iter().map(|b| b.as_slice()).collect();
         self.remove_batch_cost(&views).0
     }
+}
+
+/// The scalar batch query: [`Filter::contains_bytes_cost`] per key, in key
+/// order, with the costs summed. The default `contains_batch_with`, and
+/// what every pipelined override runs below [`crate::SMALL_BATCH`] keys.
+pub(crate) fn contains_batch_scalar<F: Filter + ?Sized>(
+    filter: &F,
+    keys: &[&[u8]],
+) -> (Vec<bool>, OpCost) {
+    let mut total = OpCost::zero();
+    let hits = keys
+        .iter()
+        .map(|key| {
+            let (hit, cost) = filter.contains_bytes_cost(key);
+            total = total.add(cost);
+            hit
+        })
+        .collect();
+    (hits, total)
+}
+
+/// The scalar batch insert: [`Filter::insert_bytes_cost`] per key, in key
+/// order; see [`settle`].
+pub(crate) fn insert_batch_scalar<F: Filter + ?Sized>(
+    filter: &mut F,
+    keys: &[&[u8]],
+) -> (Vec<Result<(), FilterError>>, OpCost) {
+    settle(keys.iter().map(|key| filter.insert_bytes_cost(key)))
+}
+
+/// The scalar batch remove: [`CountingFilter::remove_bytes_cost`] per
+/// key, in key order; see [`settle`].
+pub(crate) fn remove_batch_scalar<F: CountingFilter + ?Sized>(
+    filter: &mut F,
+    keys: &[&[u8]],
+) -> (Vec<Result<(), FilterError>>, OpCost) {
+    settle(keys.iter().map(|key| filter.remove_bytes_cost(key)))
+}
+
+/// Collects per-key update outcomes into the batch shape: one result per
+/// key plus the summed cost of the successes (a refused update costs
+/// nothing, as its scalar call reports none).
+pub(crate) fn settle(
+    outcomes: impl Iterator<Item = Result<OpCost, FilterError>>,
+) -> (Vec<Result<(), FilterError>>, OpCost) {
+    let mut total = OpCost::zero();
+    let results = outcomes
+        .map(|outcome| outcome.map(|cost| total = total.add(cost)))
+        .collect();
+    (results, total)
 }

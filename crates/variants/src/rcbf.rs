@@ -26,7 +26,7 @@
 //! confining it to one machine word is MPCBF's contribution.
 
 use mpcbf_core::metrics::{OpCost, WordTouches};
-use mpcbf_core::{CountingFilter, Filter, FilterError};
+use mpcbf_core::{CountingFilter, Filter, FilterError, PlanBuffer};
 use mpcbf_hash::mix::bits_for;
 use mpcbf_hash::{Hasher128, Murmur3};
 use std::marker::PhantomData;
@@ -133,7 +133,7 @@ impl<H: Hasher128> Filter for Rcbf<H> {
         (hit, self.cost())
     }
 
-    fn contains_batch_cost(&self, keys: &[&[u8]]) -> (Vec<bool>, OpCost) {
+    fn contains_batch_with(&self, keys: &[&[u8]], _plans: &mut PlanBuffer) -> (Vec<bool>, OpCost) {
         // RCBF probes exactly one bucket per key, so the batch pipeline is
         // simply: hash every key up front, then probe the bucket chains in
         // one tight loop (the hardware prefetcher overlaps the chains).

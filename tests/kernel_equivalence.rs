@@ -1,20 +1,21 @@
-//! Differential proptests: the kernel-dispatched hot paths must be
-//! bit-identical to the portable reference walks.
+//! Differential proptests: the routed word walks must be bit-identical to
+//! the portable reference walks under both kernel bundles.
 //!
-//! Every `HcbfWord` mutation exists in two tiers — the dispatched hot walk
-//! (carried ranks + `kernel` primitives, BMI2 where the CPU has it) and the
-//! `*_reference` baseline (the naive portable `rank_range` walk). These
-//! tests drive both tiers with identical scripts and demand identical raw
-//! bit patterns, identical reports (count, traversal bits), and identical
+//! Every `HcbfWord` mutation exists in two tiers — the routed walk
+//! (carried ranks + `KernelOps` primitives) and the `*_reference`
+//! baseline (the naive portable `rank_range` walk). These tests drive
+//! both tiers with identical scripts and demand identical raw bit
+//! patterns, identical reports (count, traversal bits), and identical
 //! errors — including the all-or-nothing rollback paths, where a failed
-//! batch's intermediate hot-walk mutations must be undone to the exact
-//! pre-batch bits.
+//! batch's intermediate mutations must be undone to the exact pre-batch
+//! bits.
 //!
-//! CI runs this suite twice: once with native feature detection and once
-//! with `MPCBF_KERNEL=portable`, so the equivalence holds on whichever
-//! kernel dispatch selects.
+//! Each property runs the routed walk under [`KernelOps::portable`] (the
+//! bulk sweep's kernel) *and* [`KernelOps::accelerated`] (BMI2 where the
+//! CPU has it) in the same process. CI also runs the suite with
+//! `MPCBF_KERNEL=portable`, where both bundles are portable.
 
-use mpcbf::bitvec::{Kernel, Word, W256, W512};
+use mpcbf::bitvec::{Kernel, KernelOps, Word, W256, W512};
 use mpcbf::core::hcbf::HcbfWord;
 use proptest::prelude::*;
 
@@ -31,35 +32,61 @@ fn ops(b1: u32, len: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// Runs one script through the hot and reference tiers in lockstep; the
-/// raw words, reports, and errors must agree after every operation.
+/// Both bundles: the portable walk and the accelerated one.
+fn bundles() -> [KernelOps; 2] {
+    [KernelOps::portable(), KernelOps::accelerated()]
+}
+
+/// Runs one script through the routed and reference tiers in lockstep,
+/// under both bundles; the raw words, reports, and errors must agree
+/// after every operation.
 fn check_scalar_equivalence<W: Word>(b1: u32, script: &[Op]) {
-    let mut hot: HcbfWord<W> = HcbfWord::new();
+    for ops in bundles() {
+        check_scalar_equivalence_with::<W>(b1, script, &ops);
+    }
+}
+
+fn check_scalar_equivalence_with<W: Word>(b1: u32, script: &[Op], ops: &KernelOps) {
+    let mut routed: HcbfWord<W> = HcbfWord::new();
     let mut reference: HcbfWord<W> = HcbfWord::new();
     for op in script {
         match *op {
             Op::Inc(p) => {
-                let a = hot.increment(p, b1);
+                let a = routed.increment_routed(p, b1, ops);
                 let b = reference.increment_reference(p, b1);
                 assert_eq!(a, b, "increment({p}) diverged");
             }
             Op::Dec(p) => {
-                let a = hot.decrement(p, b1);
+                let a = routed.decrement_routed(p, b1, ops);
                 let b = reference.decrement_reference(p, b1);
                 assert_eq!(a, b, "decrement({p}) diverged");
             }
         }
-        assert_eq!(hot.raw(), reference.raw(), "raw bits diverged after {op:?}");
+        assert_eq!(
+            routed.raw(),
+            reference.raw(),
+            "raw bits diverged after {op:?}"
+        );
         for p in 0..b1 {
-            assert_eq!(hot.counter(p, b1), reference.counter(p, b1), "counter {p}");
+            assert_eq!(
+                routed.counter(p, b1),
+                reference.counter(p, b1),
+                "counter {p}"
+            );
         }
     }
 }
 
 /// Drives batches (including overflowing ones that must roll back) through
-/// both tiers; results and final bits must agree.
+/// both tiers, under both bundles; results and final bits must agree.
 fn check_batch_equivalence<W: Word>(b1: u32, batches: &[Vec<Op>]) {
-    let mut hot: HcbfWord<W> = HcbfWord::new();
+    for ops in bundles() {
+        check_batch_equivalence_with::<W>(b1, batches, &ops);
+    }
+}
+
+fn check_batch_equivalence_with<W: Word>(b1: u32, batches: &[Vec<Op>], ops: &KernelOps) {
+    let mut routed: HcbfWord<W> = HcbfWord::new();
     let mut reference: HcbfWord<W> = HcbfWord::new();
     for batch in batches {
         let incs: Vec<u32> = batch
@@ -77,17 +104,25 @@ fn check_batch_equivalence<W: Word>(b1: u32, batches: &[Vec<Op>]) {
             })
             .collect();
         assert_eq!(
-            hot.increment_all(&incs, b1),
+            routed.increment_all_routed(&incs, b1, ops),
             reference.increment_all_reference(&incs, b1),
             "increment_all({incs:?}) diverged"
         );
-        assert_eq!(hot.raw(), reference.raw(), "bits diverged after inc batch");
         assert_eq!(
-            hot.decrement_all(&decs, b1),
+            routed.raw(),
+            reference.raw(),
+            "bits diverged after inc batch"
+        );
+        assert_eq!(
+            routed.decrement_all_routed(&decs, b1, ops),
             reference.decrement_all_reference(&decs, b1),
             "decrement_all({decs:?}) diverged"
         );
-        assert_eq!(hot.raw(), reference.raw(), "bits diverged after dec batch");
+        assert_eq!(
+            routed.raw(),
+            reference.raw(),
+            "bits diverged after dec batch"
+        );
         // Batched membership must meter exactly like the scalar loop.
         let probes: Vec<u32> = batch
             .iter()
@@ -96,7 +131,7 @@ fn check_batch_equivalence<W: Word>(b1: u32, batches: &[Vec<Op>]) {
             })
             .collect();
         assert_eq!(
-            hot.query_all(&probes),
+            routed.query_all(&probes),
             reference.query_all_reference(&probes),
             "query_all({probes:?}) metering diverged"
         );
@@ -160,10 +195,31 @@ proptest! {
     }
 
     #[test]
+    fn u32_batches_match_with_rollback(
+        batches in prop::collection::vec(ops(20, 16), 0..10)
+    ) {
+        check_batch_equivalence::<u32>(20, &batches);
+    }
+
+    #[test]
+    fn u128_batches_match_with_rollback(
+        batches in prop::collection::vec(ops(90, 22), 0..10)
+    ) {
+        check_batch_equivalence::<u128>(90, &batches);
+    }
+
+    #[test]
     fn w256_batches_match_with_rollback(
         batches in prop::collection::vec(ops(240, 26), 0..8)
     ) {
         check_batch_equivalence::<W256>(240, &batches);
+    }
+
+    #[test]
+    fn w512_batches_match_with_rollback(
+        batches in prop::collection::vec(ops(480, 40), 0..8)
+    ) {
+        check_batch_equivalence::<W512>(480, &batches);
     }
 
     #[test]
