@@ -188,9 +188,9 @@ fn drill_scrub(plan: &FaultPlan) {
         .build()
         .expect("shape");
     let mut f: Mpcbf<u64, Murmur3> = Mpcbf::new(cfg);
-    for i in 0..2_000u64 {
-        f.insert(&i).expect("healthy insert");
-    }
+    // Word overflow at 80% of design load is improbable but possible
+    // (Fig. 6): count refusals instead of asserting there are none.
+    let refused = (0..2_000u64).filter(|i| f.insert(i).is_err()).count();
     assert_eq!(f.verify(), Ok(()), "pre-damage filter must verify clean");
     let seal = f.seal();
     assert!(f.scrub(&seal).is_clean());
@@ -221,7 +221,7 @@ fn drill_scrub(plan: &FaultPlan) {
     }
     assert!(f.scrub(&seal).is_clean(), "undone damage must scrub clean");
     println!(
-        "  scrub drill: {} flips over {} words → {} dirty segments detected — OK",
+        "  scrub drill: {} flips over {} words → {} dirty segments detected, {refused} refused inserts — OK",
         plan.flips().count(),
         l,
         expected.len()
@@ -239,9 +239,8 @@ fn drill_epoch_scrub(plan: &FaultPlan) {
         .build()
         .expect("shape");
     let f: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(cfg, 64);
-    for i in 0..5_000u64 {
-        f.insert(&i).expect("healthy insert");
-    }
+    // As in the scrub drill: overflow at half load is counted, not fatal.
+    let refused = (0..5_000u64).filter(|i| f.insert(i).is_err()).count();
     let seals = f.seal();
     assert!(f.scrub(&seals).is_clean());
 
@@ -272,7 +271,7 @@ fn drill_epoch_scrub(plan: &FaultPlan) {
     }
     assert!(f.scrub(&seals).is_clean());
     println!(
-        "  epoch-scrub drill: {} poisonings over {} shards → {} dirty segments detected — OK",
+        "  epoch-scrub drill: {} poisonings over {} shards → {} dirty segments detected, {refused} refused inserts — OK",
         plan.poisonings().count(),
         shards,
         expected.len()
