@@ -107,8 +107,8 @@ impl<H: Hasher128> AtomicMpcbf<H> {
     }
 
     /// Plans a whole batch into the caller's [`PlanBuffer`] — the same
-    /// digest streams as [`ProbePlan`], zero allocation once the buffer
-    /// is warm.
+    /// placement as [`ProbePlan`], zero allocation once the buffer is
+    /// warm.
     fn plan_into(&self, keys: &[&[u8]], plans: &mut PlanBuffer) {
         plans.plan_partitioned(
             keys.iter().map(|key| H::hash128(self.seed, key)),

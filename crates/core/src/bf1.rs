@@ -8,12 +8,12 @@
 //! counting setting.
 
 use crate::metrics::{OpCost, WordTouches};
-use crate::plan::{distinct_words, PlanBuffer, SMALL_BATCH};
+use crate::plan::{distinct_words, PlanBuffer, Planner, SMALL_BATCH};
 use crate::traits::{contains_batch_scalar, insert_batch_scalar, Filter};
-use crate::{split_hashes, ConfigError, FilterError, GROUP_SALT, WORD_SALT};
+use crate::{split_hashes, ConfigError, FilterError};
 use mpcbf_bitvec::BitVec;
 use mpcbf_hash::mix::bits_for;
-use mpcbf_hash::{DoubleHasher, Hasher128, Murmur3};
+use mpcbf_hash::{Hasher128, Murmur3};
 use std::marker::PhantomData;
 
 /// A word-partitioned Bloom filter with `g` memory accesses per operation.
@@ -118,18 +118,15 @@ impl<H: Hasher128> BfG<H> {
         // Returns (words evaluated, in-word positions evaluated); `visit`
         // gets (word index, global bit index, group) and returns `false`
         // to stop early (query short-circuit).
-        let digest = H::hash128(self.seed, key);
-        let mut word_picker = DoubleHasher::with_salt(digest, WORD_SALT, self.l as u64);
+        let planner = Planner::new(self.l as u64, self.k, self.g, u64::from(self.w));
+        let (mut word_digits, mut slot_digits) = planner.digits(H::hash128(self.seed, key));
         let mut words_eval = 0u32;
         let mut pos_eval = 0u32;
         'outer: for t in 0..self.g {
-            let word = word_picker.next_index();
+            let word = word_digits.next_digit() as usize;
             words_eval += 1;
-            let k_t = split_hashes(self.k, self.g, t);
-            let mut inner =
-                DoubleHasher::with_salt(digest, GROUP_SALT ^ u64::from(t), u64::from(self.w));
-            for _ in 0..k_t {
-                let off = inner.next_index();
+            for _ in 0..split_hashes(self.k, self.g, t) {
+                let off = slot_digits.next_digit() as usize;
                 pos_eval += 1;
                 if !visit(word, word * self.w as usize + off, t) {
                     break 'outer;
@@ -140,9 +137,8 @@ impl<H: Hasher128> BfG<H> {
     }
 
     /// Stage 1 of the batch pipeline: hash every key into the caller's
-    /// [`PlanBuffer`] (same word-selector and per-group streams as
-    /// [`BfG::for_each_position`]), with zero allocation once the buffer
-    /// is warm.
+    /// [`PlanBuffer`] (the placement [`BfG::for_each_position`] walks),
+    /// with zero allocation once the buffer is warm.
     fn plan_into(&self, keys: &[&[u8]], plans: &mut PlanBuffer) {
         plans.plan_partitioned(
             keys.iter().map(|key| H::hash128(self.seed, key)),

@@ -55,8 +55,9 @@
 //! modes cover all shapes:
 //!
 //! * **Deferred** (`g == 1` and the entry fits a `u64`): a key stages one
-//!   packed entry `word ‖ k×slot` and admission is decided *at flush
-//!   time* from the word's running total. This is exact because every
+//!   packed entry `word ‖ k×slot` — the planner's own packed output
+//!   (`Planner::packed`), not a re-encoding of a plan — and admission is
+//!   decided *at flush time* from the word's running total. This is exact because every
 //!   bucket level preserves per-word arrival order (each word travels one
 //!   FIFO bucket chain), and with `g = 1` admission is word-local.
 //! * **Admitted** (`g ≥ 2`, or when the caller must learn refusals at
@@ -82,11 +83,11 @@
 use crate::config::MpcbfConfig;
 use crate::hcbf::HcbfWord;
 use crate::mpcbf::Mpcbf;
-use crate::plan::PlanBuffer;
+use crate::plan::{Planner, PACKED_SLOT_BITS};
 use crate::resilient::ResilientMpcbf;
-use crate::{split_hashes, GROUP_SALT, WORD_SALT};
+use crate::split_hashes;
 use mpcbf_bitvec::{advise_huge_slice, AlignedVec, KernelOps};
-use mpcbf_hash::{DoubleHasher, Hasher128, Murmur3};
+use mpcbf_hash::{Hasher128, Murmur3};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -117,8 +118,9 @@ const L3_REGION_BITS: u32 = 15;
 /// only speed is lost, never exactness.
 const L3_MIN_DENSITY: usize = 2;
 
-/// In-word slot indices are `< b1 ≤ 63`, so six bits pack one.
-const SLOT_BITS: u32 = 6;
+/// In-word slot indices are `< b1 ≤ 63`, so six bits pack one (the
+/// planner's packed one-group entry).
+const SLOT_BITS: u32 = PACKED_SLOT_BITS;
 
 /// Staging counters (spill/flush activity; admission totals live on the
 /// built filter as `items()` / `overflows()`).
@@ -156,6 +158,8 @@ pub struct BulkStage {
     k: u32,
     g: u32,
     b1: u32,
+    /// The shared bit-field planner for this stage's shape.
+    planner: Planner,
     /// Increment capacity of one word: `W::BITS − b1`.
     cap: u32,
     mode: Mode,
@@ -264,6 +268,7 @@ impl BulkStage {
             k,
             g,
             b1,
+            planner: Planner::new(l, k, g, u64::from(b1)),
             cap: 64 - b1,
             mode,
             word_shift,
@@ -310,7 +315,7 @@ impl BulkStage {
         self.stats
     }
 
-    /// Hashes and stages one probe digest (the full 128-bit digest for a
+    /// Plans and stages one probe digest (the full 128-bit digest for a
     /// plain filter, the low 112 bits for a shard sub-filter). Returns
     /// `false` iff the key was refused — only ever at push time in
     /// admitted mode; deferred mode always returns `true` and tallies
@@ -318,112 +323,45 @@ impl BulkStage {
     #[inline]
     pub fn push_digest(&mut self, words: &mut [HcbfWord<u64>], digest: u128) -> bool {
         self.stats.keys += 1;
-        let mut picker = DoubleHasher::with_salt(digest, WORD_SALT, self.l);
         if matches!(self.mode, Mode::Deferred) {
-            let word = picker.next_index() as u64;
-            let mut inner = DoubleHasher::with_salt(digest, GROUP_SALT, self.b1 as u64);
-            let mut entry = word << self.word_shift;
-            for j in 0..self.k {
-                entry |= (inner.next_index() as u64) << (SLOT_BITS * j);
-            }
+            let entry = self.planner.packed(digest);
             self.route(words, entry);
-            true
-        } else {
-            let mut probe_words = [0u32; 64];
-            let mut slots = [0u32; 64];
-            let mut cursor = 0usize;
-            for t in 0..self.g {
-                let word = picker.next_index() as u32;
-                let k_t = split_hashes(self.k, self.g, t);
-                let mut inner =
-                    DoubleHasher::with_salt(digest, GROUP_SALT ^ u64::from(t), self.b1 as u64);
-                for _ in 0..k_t {
-                    probe_words[cursor] = word;
-                    slots[cursor] = inner.next_index() as u32;
-                    cursor += 1;
-                }
-            }
-            self.stage_admitted(words, &probe_words[..cursor], &slots[..cursor])
+            return true;
         }
+        let (mut word_digits, mut slot_digits) = self.planner.digits(digest);
+        let mut probe_words = [0u32; 64];
+        let mut slots = [0u32; 64];
+        let mut cursor = 0usize;
+        for t in 0..self.g {
+            let word = word_digits.next_digit();
+            for _ in 0..split_hashes(self.k, self.g, t) {
+                probe_words[cursor] = word;
+                slots[cursor] = slot_digits.next_digit();
+                cursor += 1;
+            }
+        }
+        self.stage_admitted(words, &probe_words[..cursor], &slots[..cursor])
     }
 
-    /// Hashes and stages a whole chunk of probe digests, returning how
+    /// Plans and stages a whole chunk of probe digests, returning how
     /// many were admitted so far (see [`BulkStage::push_digest`] for the
     /// deferred-mode caveat). Behaves exactly like pushing each digest
     /// singly, but keeps the deferred hot loop inside one call — the
     /// per-key entry point costs a cross-crate call per key, which at
     /// streaming rates is a measurable fraction of the budget.
     pub fn push_digests(&mut self, words: &mut [HcbfWord<u64>], digests: &[u128]) -> u64 {
-        if matches!(self.mode, Mode::Deferred) {
-            self.stats.keys += digests.len() as u64;
-            if self.k == 3 {
-                // Unrolled MPCBF-1 shape: three probe draws, no slot loop.
-                for &digest in digests {
-                    let mut picker = DoubleHasher::with_salt(digest, WORD_SALT, self.l);
-                    let word = picker.next_index() as u64;
-                    let mut inner = DoubleHasher::with_salt(digest, GROUP_SALT, self.b1 as u64);
-                    let entry = (word << self.word_shift)
-                        | (inner.next_index() as u64)
-                        | ((inner.next_index() as u64) << SLOT_BITS)
-                        | ((inner.next_index() as u64) << (2 * SLOT_BITS));
-                    self.route(words, entry);
-                }
-            } else {
-                for &digest in digests {
-                    let mut picker = DoubleHasher::with_salt(digest, WORD_SALT, self.l);
-                    let word = picker.next_index() as u64;
-                    let mut inner = DoubleHasher::with_salt(digest, GROUP_SALT, self.b1 as u64);
-                    let mut entry = word << self.word_shift;
-                    for j in 0..self.k {
-                        entry |= (inner.next_index() as u64) << (SLOT_BITS * j);
-                    }
-                    self.route(words, entry);
-                }
-            }
-            digests.len() as u64
-        } else {
-            let mut admitted = 0u64;
-            for &digest in digests {
-                admitted += u64::from(self.push_digest(words, digest));
-            }
-            admitted
+        if !matches!(self.mode, Mode::Deferred) {
+            return digests
+                .iter()
+                .map(|&digest| u64::from(self.push_digest(words, digest)))
+                .sum();
         }
-    }
-
-    /// Stages one pre-planned key: `plan_words` are its `g` target words
-    /// and `slots` its `k` in-word positions, both in
-    /// [`PlanBuffer`] layout (group `t` owns the next
-    /// `split_hashes(k, g, t)` slots). Same contract as
-    /// [`BulkStage::push_digest`].
-    #[inline]
-    pub fn push_planned(
-        &mut self,
-        words: &mut [HcbfWord<u64>],
-        plan_words: &[u32],
-        slots: &[u32],
-    ) -> bool {
-        debug_assert_eq!(plan_words.len(), self.g as usize);
-        debug_assert_eq!(slots.len(), self.k as usize);
-        self.stats.keys += 1;
-        if matches!(self.mode, Mode::Deferred) {
-            let mut entry = u64::from(plan_words[0]) << self.word_shift;
-            for (j, &slot) in slots.iter().enumerate() {
-                entry |= u64::from(slot) << (SLOT_BITS * j as u32);
-            }
+        self.stats.keys += digests.len() as u64;
+        for &digest in digests {
+            let entry = self.planner.packed(digest);
             self.route(words, entry);
-            true
-        } else {
-            let mut probe_words = [0u32; 64];
-            let mut cursor = 0usize;
-            for t in 0..self.g {
-                let k_t = split_hashes(self.k, self.g, t);
-                for _ in 0..k_t {
-                    probe_words[cursor] = plan_words[t as usize];
-                    cursor += 1;
-                }
-            }
-            self.stage_admitted(words, &probe_words[..cursor], slots)
         }
+        digests.len() as u64
     }
 
     /// Admitted-mode admission: the key needs `probe_words.iter().count()`
@@ -1007,7 +945,6 @@ pub struct BulkBuilder<H: Hasher128 = Murmur3> {
     seed: u64,
     words: AlignedVec<HcbfWord<u64>>,
     stage: BulkStage,
-    plans: PlanBuffer,
     _hasher: PhantomData<H>,
 }
 
@@ -1046,7 +983,6 @@ impl<H: Hasher128> BulkBuilder<H> {
             // at scattered offsets.
             words: AlignedVec::filled_huge(shape.l as usize, HcbfWord::new()),
             stage: make((shape.l, shape.k, shape.g, shape.b1)),
-            plans: PlanBuffer::new(),
             config,
             _hasher: PhantomData,
         }
@@ -1062,10 +998,8 @@ impl<H: Hasher128> BulkBuilder<H> {
 
     /// Stages a chunk of keys through the tight digest loop
     /// ([`BulkStage::push_digests`]); the streaming entry point for
-    /// ingest at rate. Digests are buffered in `plans`' scratch-free
-    /// sibling: a plain reusable vector owned by the stage caller would
-    /// do, but hashing into a local buffer per chunk keeps the API
-    /// allocation-free for the common 8 Ki-key chunk size.
+    /// ingest at rate. Digests go through a 256-entry stack buffer, which
+    /// keeps the call allocation-free at any chunk size.
     pub fn push_chunk<K: AsRef<[u8]>>(&mut self, keys: &[K]) {
         let mut digests = [0u128; 256];
         for block in keys.chunks(digests.len()) {
@@ -1074,26 +1008,6 @@ impl<H: Hasher128> BulkBuilder<H> {
             }
             self.stage
                 .push_digests(self.words.as_mut_slice(), &digests[..block.len()]);
-        }
-    }
-
-    /// Stages a batch, hashing through the shared [`PlanBuffer`]
-    /// pipeline (one planning pass, then staged appends).
-    pub fn push_batch(&mut self, keys: &[&[u8]]) {
-        let shape = self.config.shape();
-        self.plans.plan_partitioned(
-            keys.iter().map(|key| H::hash128(self.seed, key)),
-            shape.l,
-            shape.k,
-            shape.g,
-            u64::from(shape.b1),
-        );
-        for i in 0..self.plans.keys() {
-            self.stage.push_planned(
-                self.words.as_mut_slice(),
-                self.plans.words_of(i),
-                self.plans.slots_of(i),
-            );
         }
     }
 
@@ -1240,9 +1154,9 @@ mod tests {
 
     #[test]
     fn bulk_equals_sequential_g2_with_overflow_pressure() {
-        // A deliberately overfull shape so refusals actually occur.
+        // Twice the design load, so refusals occur under any placement.
         let c = config(4_096, 600, 4, 2, 3);
-        let keys = keys(600, 2);
+        let keys = keys(1_200, 2);
         let mut seq: Mpcbf<u64> = Mpcbf::new(c);
         for k in &keys {
             let _ = seq.insert_bytes(k);
@@ -1259,7 +1173,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_push_matches_scalar_push() {
+    fn chunk_push_matches_scalar_push() {
         let c = config(1 << 18, 10_000, 3, 1, 5);
         let keys = keys(10_000, 3);
         let mut scalar: BulkBuilder = BulkBuilder::new(c);
@@ -1269,7 +1183,7 @@ mod tests {
         let mut batched: BulkBuilder = BulkBuilder::new(c);
         let views: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
         for chunk in views.chunks(777) {
-            batched.push_batch(chunk);
+            batched.push_chunk(chunk);
         }
         assert_eq!(scalar.finish().raw_words(), batched.finish().raw_words());
     }

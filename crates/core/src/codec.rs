@@ -7,7 +7,7 @@
 //! ```text
 //! magic  "MPCB"          4 bytes
 //! kind   u8              1 = CBF, 2 = MPCBF(u64 words)
-//! ver    u8              format version (currently 1)
+//! ver    u8              format version (currently 2)
 //! header fields          kind-specific, little-endian
 //! payload                raw limbs, little-endian u64s
 //! crc32  u32             IEEE CRC-32 of everything above
@@ -16,6 +16,13 @@
 //! No serde: the format is explicit, stable, and independent of Rust
 //! struct layout. Decoding validates the checksum, the magic, and every
 //! structural invariant before constructing a filter.
+//!
+//! An image stores word contents, not keys, so it is only meaningful
+//! under the placement that wrote it. Version 2 images carry the
+//! bit-field placement of [`crate::plan`]; version 1 images (the earlier
+//! salted double-hashing placement) are refused with
+//! [`CodecError::UnsupportedVersion`], because reading them under the new
+//! placement would answer stored keys with false negatives.
 
 use crate::cbf::Cbf;
 use crate::config::MpcbfConfig;
@@ -66,7 +73,9 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 const MAGIC: &[u8; 4] = b"MPCB";
-const VERSION: u8 = 1;
+/// Format version. Bumped whenever placement changes: an image is only
+/// readable under the placement that wrote it.
+const VERSION: u8 = 2;
 /// Image kind byte for [`Cbf`].
 pub const KIND_CBF: u8 = 1;
 /// Image kind byte for [`Mpcbf`] over 64-bit words.
@@ -772,8 +781,8 @@ mod tests {
             .unwrap();
         let f: Mpcbf<u64, Murmur3> = Mpcbf::new(cfg);
         let image = f.encode();
-        // magic "MPCB", kind 2, version 1
-        assert_eq!(&image[..6], b"MPCB\x02\x01");
+        // magic "MPCB", kind 2, version 2 (the bit-field placement)
+        assert_eq!(&image[..6], b"MPCB\x02\x02");
         // l = 16 (LE u64), k = 3, g = 1 (LE u32s)
         assert_eq!(&image[6..14], &16u64.to_le_bytes());
         assert_eq!(&image[14..18], &3u32.to_le_bytes());

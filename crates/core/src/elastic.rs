@@ -702,8 +702,17 @@ mod tests {
 
     #[test]
     fn removals_route_to_the_owning_generation() {
-        let mut f: ElasticMpcbf = ElasticMpcbf::new(small_config(7));
-        for i in 0..4_000u64 {
+        // Manual mode with no compaction keeps the stack standing (an
+        // auto-mode compaction may already have folded it by the last
+        // insert, depending on when the trigger fired).
+        let mut f: ElasticMpcbf =
+            ElasticMpcbf::manual(small_config(7), CapacityPolicy::default()).unwrap();
+        for i in 0..2_000u64 {
+            f.insert(&i).unwrap();
+        }
+        let spec = f.scale_plan().expect("overload must park a plan");
+        f.apply_scale(&spec).unwrap();
+        for i in 2_000..4_000u64 {
             f.insert(&i).unwrap();
         }
         assert!(f.generation_count() > 1, "need a real stack for this test");

@@ -77,12 +77,6 @@ pub use scrub::{FilterSeal, ScrubReport, SEGMENT_WORDS};
 pub use traits::{CountingFilter, Filter};
 pub use window::SlidingWindowMpcbf;
 
-/// Salt for the word-selector hash stream (`H_1..H_g` in the paper).
-pub(crate) const WORD_SALT: u64 = 0x4d50_4342_465f_5744; // "MPCBF_WD"
-
-/// Salt base for per-word in-word index streams (`h_1..h_k`).
-pub(crate) const GROUP_SALT: u64 = 0x4d50_4342_465f_4752; // "MPCBF_GR"
-
 /// How many of the `k` hash functions group `t` (0-based) receives when
 /// spread over `g` words: the first `k mod g` groups get `ceil(k/g)`,
 /// the rest `floor(k/g)` (§III.C: "as k might be not divisible by g, we

@@ -9,14 +9,14 @@
 //! penalty.
 
 use crate::metrics::{OpCost, WordTouches};
-use crate::plan::{distinct_words, PlanBuffer, SMALL_BATCH};
+use crate::plan::{distinct_words, PlanBuffer, Planner, SMALL_BATCH};
 use crate::traits::{
     contains_batch_scalar, insert_batch_scalar, remove_batch_scalar, CountingFilter, Filter,
 };
-use crate::{split_hashes, ConfigError, FilterError, GROUP_SALT, WORD_SALT};
+use crate::{split_hashes, ConfigError, FilterError};
 use mpcbf_bitvec::CounterVec;
 use mpcbf_hash::mix::bits_for;
-use mpcbf_hash::{DoubleHasher, Hasher128, Murmur3};
+use mpcbf_hash::{Hasher128, Murmur3};
 use std::marker::PhantomData;
 
 /// A partitioned CBF with `g` memory accesses per operation.
@@ -150,21 +150,20 @@ impl<H: Hasher128> Pcbf<H> {
     /// `false` to short-circuit. Returns (words evaluated, slots evaluated).
     #[inline]
     fn for_each_slot(&self, key: &[u8], mut visit: impl FnMut(usize, usize) -> bool) -> (u32, u32) {
-        let digest = H::hash128(self.seed, key);
-        let mut word_picker = DoubleHasher::with_salt(digest, WORD_SALT, self.l as u64);
+        let planner = Planner::new(
+            self.l as u64,
+            self.k,
+            self.g,
+            u64::from(self.counters_per_word),
+        );
+        let (mut word_digits, mut slot_digits) = planner.digits(H::hash128(self.seed, key));
         let mut words_eval = 0u32;
         let mut slots_eval = 0u32;
         'outer: for t in 0..self.g {
-            let word = word_picker.next_index();
+            let word = word_digits.next_digit() as usize;
             words_eval += 1;
-            let k_t = split_hashes(self.k, self.g, t);
-            let mut inner = DoubleHasher::with_salt(
-                digest,
-                GROUP_SALT ^ u64::from(t),
-                u64::from(self.counters_per_word),
-            );
-            for _ in 0..k_t {
-                let slot = inner.next_index();
+            for _ in 0..split_hashes(self.k, self.g, t) {
+                let slot = slot_digits.next_digit() as usize;
                 slots_eval += 1;
                 if !visit(word, word * self.counters_per_word as usize + slot) {
                     break 'outer;
@@ -184,9 +183,9 @@ impl<H: Hasher128> Pcbf<H> {
     }
 
     /// Stage 1 of the batch pipeline: hash every key into the caller's
-    /// [`PlanBuffer`] (word selector over `l`, per-group slot streams over
-    /// `w/4` counters — the same streams as [`Pcbf::for_each_slot`]),
-    /// with zero allocation once the buffer is warm.
+    /// [`PlanBuffer`] (words over `l`, slots over `w/4` counters — the
+    /// placement [`Pcbf::for_each_slot`] walks), with zero allocation once
+    /// the buffer is warm.
     fn plan_into(&self, keys: &[&[u8]], plans: &mut PlanBuffer) {
         plans.plan_partitioned(
             keys.iter().map(|key| H::hash128(self.seed, key)),

@@ -3,14 +3,18 @@
 //! The paper's reference \[22\] ("Less hashing, same performance") shows that
 //! deriving the `k` Bloom indices as `g_i(x) = h1(x) + i·h2(x) (mod range)`
 //! from two independent hash values preserves the asymptotic false-positive
-//! rate. All filters in this workspace use this scheme: one 128-bit digest
-//! per element yields `h1` and `h2`, and [`DoubleHasher`] streams out as
-//! many indices as requested.
+//! rate. The flat filters (Bloom, CBF) and the variant filters use this
+//! scheme: one 128-bit digest per element yields `h1` and `h2`, and
+//! [`DoubleHasher`] streams out as many indices as requested.
 //!
-//! This matters for the paper's speed story: MPCBF-1 genuinely computes
-//! *one* hash per operation, so its "one memory access" claim is not hiding
-//! `k` hash computations (§IV.B observes the software bottleneck is hash
-//! computation; double hashing removes it for every variant equally).
+//! The partitioned filters (BF-g, PCBF-g, MPCBF-g) do not: their words
+//! and in-word positions are cut straight from disjoint bit fields of the
+//! same digest by `mpcbf-core`'s bit-field planner (its `plan` module),
+//! which spends the digest's bits instead of re-mixing them per index.
+//!
+//! Either way each filter computes *one* hash per operation, so MPCBF-1's
+//! "one memory access" claim is not hiding `k` hash computations (§IV.B
+//! observes the software bottleneck is hash computation).
 
 use crate::mix::{fast_range, splitmix64};
 
@@ -46,7 +50,7 @@ impl DoubleHasher {
     /// Creates a stream whose `h1`/`h2` are remixed with `salt`, yielding an
     /// index sequence independent of the unsalted one. Used when a filter
     /// needs several independent *groups* of indices from one digest (e.g.
-    /// MPCBF-g's per-word index groups).
+    /// the two-choice filter's per-candidate streams).
     #[inline]
     pub fn with_salt(digest: u128, salt: u64, range: u64) -> Self {
         let h1 = splitmix64((digest as u64) ^ salt);

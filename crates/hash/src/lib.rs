@@ -17,8 +17,10 @@
 //! * [`fnv::fnv1a64`] — a simple baseline hash;
 //! * [`mix`] — `splitmix64`, multiply–shift, and fast range reduction;
 //! * [`double::DoubleHasher`] — Kirsch–Mitzenmacher double hashing, which
-//!   derives the `k` per-word indices from one 128-bit digest (the trick the
-//!   paper's reference \[22\] proves loses nothing in false-positive rate);
+//!   derives the flat filters' `k` indices from one 128-bit digest (the
+//!   trick the paper's reference \[22\] proves loses nothing in
+//!   false-positive rate; the partitioned filters cut theirs from the
+//!   digest's bit fields instead, in `mpcbf-core`'s `plan` module);
 //! * [`budget::BitBudget`] — the hash-bit accounting used to report the
 //!   paper's access-bandwidth numbers (Tables I–III, Fig. 11b);
 //! * [`key::Key`] — zero-allocation conversion of common key types
@@ -48,7 +50,8 @@ pub use key::{Key, KeyBytes};
 /// Implementations must be deterministic functions of `(seed, data)` and
 /// should behave like a random oracle for the purposes of Bloom-filter
 /// analysis. The two 64-bit halves of the digest are treated as independent
-/// hash values by [`DoubleHasher`].
+/// hash values by [`DoubleHasher`], and as independent bit fields by the
+/// partitioned filters' planner.
 pub trait Hasher128: Clone + Send + Sync + 'static {
     /// Hashes `data` under `seed`, returning a 128-bit digest.
     fn hash128(seed: u64, data: &[u8]) -> u128;

@@ -1,6 +1,6 @@
 //! Cross-implementation contracts for the three MPCBF implementations.
 //!
-//! The sequential and lock-free filters share salts and layout exactly, so
+//! The sequential and lock-free filters share the planner and layout, so
 //! under the same configuration and operation sequence they must be
 //! *bit-for-bit interchangeable* for membership.
 //!
@@ -63,17 +63,32 @@ fn sharded_is_a_correct_filter_after_identical_history() {
         let mut seq: Mpcbf<u64, Murmur3> = Mpcbf::new(cfg);
         let sharded: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(cfg, 64);
 
-        for i in 0..4_000u64 {
-            seq.insert(&i).unwrap();
-            sharded.insert(&i).unwrap();
+        // Word overflow at 80% of design load is improbable but possible
+        // (Fig. 6). A refused insert rolls back whole, so the contract is
+        // checked on the acknowledged keys, and refusals must stay rare.
+        let seq_acked: Vec<u64> = (0..4_000u64).filter(|i| seq.insert(i).is_ok()).collect();
+        let acked: Vec<u64> = (0..4_000u64)
+            .filter(|i| sharded.insert(i).is_ok())
+            .collect();
+        assert!(
+            seq.overflows() <= 5,
+            "g={g}: sequential overflows {}",
+            seq.overflows()
+        );
+        assert!(
+            sharded.overflows() <= 5,
+            "g={g}: sharded overflows {}",
+            sharded.overflows()
+        );
+        for i in seq_acked.iter().filter(|&&i| i < 2_000) {
+            seq.remove(i).unwrap();
         }
-        for i in 0..2_000u64 {
-            seq.remove(&i).unwrap();
-            sharded.remove(&i).unwrap();
+        for i in acked.iter().filter(|&&i| i < 2_000) {
+            sharded.remove(i).unwrap();
         }
         // No false negatives on the live keys...
-        for i in 2_000..4_000u64 {
-            assert!(sharded.contains(&i), "g={g}: false negative on {i}");
+        for i in acked.iter().filter(|&&i| i >= 2_000) {
+            assert!(sharded.contains(i), "g={g}: false negative on {i}");
         }
         // ...and the stranger false-positive count stays in the same regime
         // as the sequential filter's (layouts differ, so the *sets* of

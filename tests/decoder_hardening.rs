@@ -6,7 +6,9 @@
 //! tails at every byte offset must yield structured errors (or a clean
 //! truncated-prefix recovery), never a panic or fabricated state.
 
-use mpcbf::core::{Cbf, Filter, Mpcbf, MpcbfConfig};
+use mpcbf::concurrent::{ElasticShardedMpcbf, ShardedMpcbf};
+use mpcbf::core::codec::crc32;
+use mpcbf::core::{Cbf, CodecError, Filter, Mpcbf, MpcbfConfig};
 use mpcbf::durability::{decode_frame, encode_frame, Wal, WalOp, WalRecord};
 use mpcbf::hash::Murmur3;
 use proptest::prelude::*;
@@ -228,7 +230,6 @@ fn every_single_bit_flip_of_a_small_image_is_detected_exhaustively() {
 
 #[test]
 fn decoded_errors_are_the_documented_variants() {
-    use mpcbf::core::CodecError;
     assert_eq!(
         Mpcbf::<u64, Murmur3>::decode(b"nope").err(),
         Some(CodecError::Truncated)
@@ -247,4 +248,60 @@ fn decoded_errors_are_the_documented_variants() {
         Mpcbf::<u64, Murmur3>::decode(&flipped),
         Err(CodecError::ChecksumMismatch { .. })
     ));
+}
+
+/// Rewrites an image's version byte to 1 and re-seals its CRC, giving a
+/// well-formed image as the previous format version wrote it.
+fn as_version_1(mut image: Vec<u8>) -> Vec<u8> {
+    assert_eq!(image[5], 2, "images are written as format version 2");
+    image[5] = 1;
+    let body = image.len() - 4;
+    let crc = crc32(&image[..body]);
+    image[body..].copy_from_slice(&crc.to_le_bytes());
+    image
+}
+
+#[test]
+fn version_1_images_of_every_placed_kind_are_refused() {
+    // Version 1 images hold words placed by the retired salted streams:
+    // decoding them under the bit-field planner would answer stored keys
+    // with false negatives, so every kind must refuse them outright.
+    let config = MpcbfConfig::builder()
+        .memory_bits(65_536)
+        .expected_items(500)
+        .hashes(3)
+        .seed(0xDEC0DE)
+        .build()
+        .unwrap();
+    let sharded: ShardedMpcbf<u64, Murmur3> = ShardedMpcbf::new(config, 4);
+    let elastic: ElasticShardedMpcbf<Murmur3> = ElasticShardedMpcbf::new(config, 4);
+    for i in 0..100u64 {
+        let _ = sharded.insert(&i);
+        let _ = elastic.insert_bytes(&i.to_le_bytes());
+    }
+    let refused = CodecError::UnsupportedVersion(1);
+
+    let image = mpcbf_image();
+    assert!(Mpcbf::<u64, Murmur3>::decode(&image).is_ok());
+    let v1 = as_version_1(image);
+    assert_eq!(
+        Mpcbf::<u64, Murmur3>::decode(&v1).err(),
+        Some(refused.clone())
+    );
+
+    let image = sharded.encode();
+    assert!(ShardedMpcbf::<u64, Murmur3>::decode(&image).is_ok());
+    let v1 = as_version_1(image);
+    assert_eq!(
+        ShardedMpcbf::<u64, Murmur3>::decode(&v1).err(),
+        Some(refused.clone())
+    );
+
+    let image = elastic.encode();
+    assert!(ElasticShardedMpcbf::<Murmur3>::decode(&image).is_ok());
+    let v1 = as_version_1(image);
+    assert_eq!(
+        ElasticShardedMpcbf::<Murmur3>::decode(&v1).err(),
+        Some(refused)
+    );
 }

@@ -12,9 +12,16 @@
 //! long) and mix inserts/queries/removes so reuse crosses every
 //! size-transition direction, and a deliberately tiny MPCBF forces
 //! mid-batch `WordOverflow` rollbacks through a reused buffer.
+//!
+//! The planner properties the buffers rest on are checked here too, over
+//! arbitrary digests and shapes: the shard-selector bits never move a
+//! plan, every planned index is in range (including shapes wide enough
+//! to extend past the digest), and the buffer and the one-key
+//! [`ProbePlan`] agree.
 
 use mpcbf::concurrent::{AtomicMpcbf, ShardBatch, ShardedMpcbf};
-use mpcbf::core::{Cbf, CountingFilter, Filter, Mpcbf, MpcbfConfig, OpCost, PlanBuffer};
+use mpcbf::core::plan::PLAN_DIGEST_BITS;
+use mpcbf::core::{Cbf, CountingFilter, Filter, Mpcbf, MpcbfConfig, OpCost, PlanBuffer, ProbePlan};
 use mpcbf::hash::Murmur3;
 use mpcbf::variants::Rcbf;
 use proptest::prelude::*;
@@ -160,12 +167,50 @@ fn tiny_mpcbf() -> Mpcbf<u64, Murmur3> {
     )
 }
 
+/// A partitioned shape the planner accepts: `g ≤ k ≤ 64`, up to `2^32`
+/// words and `2^20` in-word positions — wide enough that many shapes
+/// need more bits than the digest holds and take the extension path.
+fn plan_shape() -> impl Strategy<Value = (u64, u32, u32, u64)> {
+    (1u64..=1 << 32, 1u32..=64, 1u32..=64, 1u64..=1 << 20)
+        .prop_map(|(l, k, g, b1)| (l, k, 1 + (g - 1) % k, b1))
+}
+
 fn key_list() -> impl Strategy<Value = Vec<u16>> {
     // Tiny key space ⇒ duplicates across and within batches are common.
     prop::collection::vec(0u16..64, 0..80)
 }
 
 proptest! {
+    #[test]
+    fn shard_selector_bits_never_move_a_plan(
+        digest in any::<u128>(),
+        (l, k, g, b1) in plan_shape(),
+        bit in PLAN_DIGEST_BITS..128,
+    ) {
+        // `ShardedMpcbf` routes on bits 112..128 and masks them away: the
+        // planner must read nothing there, on the extension path too.
+        let mut plans = PlanBuffer::new();
+        plans.plan_partitioned([digest, digest ^ (1u128 << bit)].into_iter(), l, k, g, b1);
+        prop_assert_eq!(plans.words_of(0), plans.words_of(1));
+        prop_assert_eq!(plans.slots_of(0), plans.slots_of(1));
+    }
+
+    #[test]
+    fn planned_indices_are_in_range_and_match_the_one_key_plan(
+        digest in any::<u128>(),
+        (l, k, g, b1) in plan_shape(),
+    ) {
+        let mut plans = PlanBuffer::new();
+        plans.plan_partitioned(std::iter::once(digest), l, k, g, b1);
+        prop_assert_eq!(plans.words_of(0).len(), g as usize);
+        prop_assert_eq!(plans.slots_of(0).len(), k as usize);
+        prop_assert!(plans.words_of(0).iter().all(|&w| u64::from(w) < l));
+        prop_assert!(plans.slots_of(0).iter().all(|&s| u64::from(s) < b1));
+        let plan = ProbePlan::partitioned(digest, l, k, g, b1);
+        prop_assert_eq!(plans.words_of(0), plan.words());
+        prop_assert_eq!(plans.slots_of(0), plan.probes());
+    }
+
     #[test]
     fn core_filters_reuse_equals_fresh(keys in key_list()) {
         let k = to_bytes(&keys);
