@@ -57,9 +57,10 @@
 //! * **Deferred** (`g == 1` and the entry fits a `u64`): a key stages one
 //!   packed entry `word ‖ k×slot` — the planner's own packed output
 //!   (`Planner::packed`), not a re-encoding of a plan — and admission is
-//!   decided *at flush time* from the word's running total. This is exact because every
-//!   bucket level preserves per-word arrival order (each word travels one
-//!   FIFO bucket chain), and with `g = 1` admission is word-local.
+//!   decided *at flush time* from the word's running total. This is
+//!   exact because every bucket level preserves per-word arrival order
+//!   (each word travels one FIFO bucket chain), and with `g = 1`
+//!   admission is word-local.
 //! * **Admitted** (`g ≥ 2`, or when the caller must learn refusals at
 //!   push time, e.g. the resilient spill): a per-word occupancy array
 //!   decides admission *at push time* in global arrival order — the exact

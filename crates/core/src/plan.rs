@@ -17,10 +17,11 @@
 //!
 //! # The bit-field planner
 //!
-//! A partitioned plan needs `g·⌈log2 l⌉ + k·⌈log2 b1⌉` address bits — 33
-//! for MPCBF-1 at the paper's Table II shape, the access bandwidth of
-//! §IV. The 128-bit digest holds that several times over, so the planner
-//! cuts the plan straight out of the digest instead of re-mixing it:
+//! A partitioned plan needs `g·⌈log2 l⌉ + k·⌈log2 b1⌉` address bits, the
+//! access bandwidth of §IV (about 33 bits per metered MPCBF-1 operation
+//! at the paper's Table II shape). The 128-bit digest holds that several
+//! times over, so the planner cuts the plan straight out of the digest
+//! instead of re-mixing it:
 //!
 //! ```text
 //!  bit 127      112 111                      64 63                           0
@@ -40,8 +41,9 @@
 //! fraction. A digit spends `⌈log2 range⌉` of its field's bits. Only a
 //! shape that needs more bits than a field holds draws more: the field
 //! refills with 64 fresh bits from one `splitmix64` of the 112 readable
-//! bits, each field from its own extension stream. MPCBF-g shapes up to
-//! `g = 3` words of `2^21` and `k = 8` slots never extend.
+//! bits, each field from its own extension stream. Shapes with up to
+//! three words of up to `2^21` and eight slots of `b1 ≤ 64` never
+//! extend.
 //!
 //! Disjoint fields keep the groups' hash functions independent, which is
 //! what keeps a partitioned filter at the standard false-positive rate
@@ -796,6 +798,22 @@ mod tests {
                     assert_eq!(plan.group(t), expect, "key {i} group {t}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn buffer_plans_iterators_that_promise_fewer_keys() {
+        // `filter` promises no keys (size_hint lower bound 0), so every
+        // key takes the appending path; the plans must not differ.
+        let (l, k, g, b1) = (1000u64, 5u32, 2u32, 37u64);
+        let mut exact = PlanBuffer::new();
+        exact.plan_partitioned((0..50u64).map(digest), l, k, g, b1);
+        let mut appended = PlanBuffer::new();
+        appended.plan_partitioned((0..50u64).map(digest).filter(|_| true), l, k, g, b1);
+        assert_eq!(appended.keys(), 50);
+        for i in 0..50 {
+            assert_eq!(appended.words_of(i), exact.words_of(i));
+            assert_eq!(appended.slots_of(i), exact.slots_of(i));
         }
     }
 
