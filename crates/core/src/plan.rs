@@ -511,13 +511,12 @@ impl PlanBuffer {
         let promised = digests.size_hint().0;
         self.words.resize(promised * g, 0);
         self.slots.resize(promised * k, 0);
-        for ((digest, words), slots) in digests
-            .by_ref()
-            .take(promised)
-            .zip(self.words.chunks_exact_mut(g))
-            .zip(self.slots.chunks_exact_mut(k))
-        {
-            planner.fill(digest, words, slots);
+        let (mut words, mut slots) = (&mut self.words[..], &mut self.slots[..]);
+        for digest in digests.by_ref().take(promised) {
+            let (key_words, rest_words) = std::mem::take(&mut words).split_at_mut(g);
+            let (key_slots, rest_slots) = std::mem::take(&mut slots).split_at_mut(k);
+            planner.fill(digest, key_words, key_slots);
+            (words, slots) = (rest_words, rest_slots);
             self.keys += 1;
         }
         self.words.truncate(self.keys * g);
