@@ -84,13 +84,8 @@ pub use window::SlidingWindowMpcbf;
 #[inline]
 pub(crate) fn split_hashes(k: u32, g: u32, t: u32) -> u32 {
     debug_assert!(t < g && g <= k);
-    let base = k / g;
-    let rem = k % g;
-    if t < rem {
-        base + 1
-    } else {
-        base
-    }
+    let (base, rem) = plan::group_split(k, g);
+    base + u32::from(t < rem)
 }
 
 /// Commonly used items, re-exported flat.
