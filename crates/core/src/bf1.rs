@@ -10,9 +10,8 @@
 use crate::metrics::{OpCost, WordTouches};
 use crate::plan::{distinct_words, PlanBuffer, Planner, SMALL_BATCH};
 use crate::traits::{contains_batch_scalar, insert_batch_scalar, Filter};
-use crate::{split_hashes, ConfigError, FilterError};
+use crate::{ConfigError, FilterError};
 use mpcbf_bitvec::BitVec;
-use mpcbf_hash::mix::bits_for;
 use mpcbf_hash::{Hasher128, Murmur3};
 use std::marker::PhantomData;
 
@@ -30,10 +29,9 @@ use std::marker::PhantomData;
 #[derive(Debug, Clone)]
 pub struct BfG<H: Hasher128 = Murmur3> {
     bits: BitVec,
-    l: usize,
     w: u32,
-    k: u32,
-    g: u32,
+    /// Placement of `k` bits over `g` of the `l` words.
+    planner: Planner,
     seed: u64,
     items: u64,
     _hasher: PhantomData<H>,
@@ -44,7 +42,7 @@ impl<H: Hasher128> BfG<H> {
     /// over `g` words.
     ///
     /// # Panics
-    /// Panics unless `l ≥ 2`, `w ∈ 8..=512`, `1 ≤ g ≤ k ≤ 64`, `g ≤ 8`;
+    /// Panics unless `2 ≤ l ≤ 2^32`, `w ∈ 8..=512`, `1 ≤ g ≤ k ≤ 64`, `g ≤ 8`;
     /// use [`BfG::try_new`] to handle untrusted shapes as errors.
     pub fn new(l: usize, w: u32, k: u32, g: u32, seed: u64) -> Self {
         match Self::try_new(l, w, k, g, seed) {
@@ -61,6 +59,11 @@ impl<H: Hasher128> BfG<H> {
                 detail: "need at least two words".into(),
             });
         }
+        if l as u64 > 1 << 32 {
+            return Err(ConfigError::BadGeometry {
+                detail: format!("{l} words exceed the planner's 2^32"),
+            });
+        }
         if !(8..=512).contains(&w) {
             return Err(ConfigError::BadGeometry {
                 detail: format!("word size {w} out of 8..=512"),
@@ -74,10 +77,8 @@ impl<H: Hasher128> BfG<H> {
         }
         Ok(BfG {
             bits: BitVec::new(l * w as usize),
-            l,
             w,
-            k,
-            g,
+            planner: Planner::new(l as u64, k, g, u64::from(w)),
             seed,
             items: 0,
             _hasher: PhantomData,
@@ -91,7 +92,7 @@ impl<H: Hasher128> BfG<H> {
 
     /// Number of words.
     pub fn words(&self) -> usize {
-        self.l
+        self.planner.l() as usize
     }
 
     /// Word size in bits.
@@ -101,7 +102,7 @@ impl<H: Hasher128> BfG<H> {
 
     /// Memory accesses per operation.
     pub fn accesses(&self) -> u32 {
-        self.g
+        self.planner.g()
     }
 
     /// Net insertions performed.
@@ -118,22 +119,18 @@ impl<H: Hasher128> BfG<H> {
         // Returns (words evaluated, in-word positions evaluated); `visit`
         // gets (word index, global bit index, group) and returns `false`
         // to stop early (query short-circuit).
-        let planner = Planner::new(self.l as u64, self.k, self.g, u64::from(self.w));
-        let (mut word_digits, mut slot_digits) = planner.digits(H::hash128(self.seed, key));
-        let mut words_eval = 0u32;
-        let mut pos_eval = 0u32;
-        'outer: for t in 0..self.g {
-            let word = word_digits.next_digit() as usize;
-            words_eval += 1;
-            for _ in 0..split_hashes(self.k, self.g, t) {
-                let off = slot_digits.next_digit() as usize;
-                pos_eval += 1;
-                if !visit(word, word * self.w as usize + off, t) {
-                    break 'outer;
-                }
-            }
-        }
-        (words_eval, pos_eval)
+        self.planner
+            .walk(H::hash128(self.seed, key), |t, word, off| {
+                let word = word as usize;
+                visit(word, word * self.w as usize + off as usize, t)
+            })
+    }
+
+    /// Address bits of a walk that evaluated `words` words and `positions`
+    /// in-word positions.
+    #[inline]
+    fn hash_bits(&self, words: u32, positions: u32) -> u32 {
+        words * self.planner.word_bits() + positions * self.planner.slot_bits()
     }
 
     /// Stage 1 of the batch pipeline: hash every key into the caller's
@@ -142,10 +139,10 @@ impl<H: Hasher128> BfG<H> {
     fn plan_into(&self, keys: &[&[u8]], plans: &mut PlanBuffer) {
         plans.plan_partitioned(
             keys.iter().map(|key| H::hash128(self.seed, key)),
-            self.l as u64,
-            self.k,
-            self.g,
-            u64::from(self.w),
+            self.planner.l(),
+            self.planner.k(),
+            self.planner.g(),
+            self.planner.inner_range(),
         );
     }
 }
@@ -167,8 +164,7 @@ impl<H: Hasher128> Filter for BfG<H> {
             member,
             OpCost {
                 word_accesses: touches.count(),
-                hash_bits: words_eval * bits_for(self.l as u64)
-                    + pos_eval * bits_for(u64::from(self.w)),
+                hash_bits: self.hash_bits(words_eval, pos_eval),
             },
         )
     }
@@ -189,17 +185,16 @@ impl<H: Hasher128> Filter for BfG<H> {
         self.items += 1;
         Ok(OpCost {
             word_accesses: touches.count(),
-            hash_bits: words_eval * bits_for(self.l as u64)
-                + pos_eval * bits_for(u64::from(self.w)),
+            hash_bits: self.hash_bits(words_eval, pos_eval),
         })
     }
 
     fn memory_bits(&self) -> u64 {
-        (self.l * self.w as usize) as u64
+        self.planner.l() * u64::from(self.w)
     }
 
     fn num_hashes(&self) -> u32 {
-        self.k
+        self.planner.k()
     }
 
     /// Fused batch query: probe group by group in scalar order off the
@@ -230,8 +225,7 @@ impl<H: Hasher128> Filter for BfG<H> {
             hits.push(member);
             total = total.add(OpCost {
                 word_accesses: distinct_words(&plans.words_of(i)[..words_eval as usize]),
-                hash_bits: words_eval * bits_for(self.l as u64)
-                    + pos_eval * bits_for(u64::from(self.w)),
+                hash_bits: self.hash_bits(words_eval, pos_eval),
             });
         }
         (hits, total)
@@ -260,7 +254,7 @@ impl<H: Hasher128> Filter for BfG<H> {
             self.items += 1;
             total = total.add(OpCost {
                 word_accesses: distinct_words(plans.words_of(i)),
-                hash_bits: self.g * bits_for(self.l as u64) + self.k * bits_for(u64::from(self.w)),
+                hash_bits: self.hash_bits(self.planner.g(), self.planner.k()),
             });
             results.push(Ok(()));
         }

@@ -86,7 +86,6 @@ use crate::hcbf::HcbfWord;
 use crate::mpcbf::Mpcbf;
 use crate::plan::{Planner, PACKED_SLOT_BITS};
 use crate::resilient::ResilientMpcbf;
-use crate::split_hashes;
 use mpcbf_bitvec::{advise_huge_slice, AlignedVec, KernelOps};
 use mpcbf_hash::{Hasher128, Murmur3};
 use std::marker::PhantomData;
@@ -155,11 +154,8 @@ enum Mode {
 /// per shard sub-filter). The caller owns the words and passes them to
 /// every call that may flush.
 pub struct BulkStage {
-    l: u64,
-    k: u32,
-    g: u32,
-    b1: u32,
-    /// The shared bit-field planner for this stage's shape.
+    /// The shared bit-field planner for this stage's shape (`l` words,
+    /// `k` probes over `g` groups, `b1` slots per word).
     planner: Planner,
     /// Increment capacity of one word: `W::BITS − b1`.
     cap: u32,
@@ -265,10 +261,6 @@ impl BulkStage {
             )
         };
         BulkStage {
-            l,
-            k,
-            g,
-            b1,
             planner: Planner::new(l, k, g, u64::from(b1)),
             cap: 64 - b1,
             mode,
@@ -293,6 +285,11 @@ impl BulkStage {
             refused: 0,
             stats: BulkStats::default(),
         }
+    }
+
+    /// Slots per word (`b1`).
+    fn b1(&self) -> u32 {
+        self.planner.inner_range() as u32
     }
 
     /// True when admission is decided at flush time.
@@ -329,18 +326,15 @@ impl BulkStage {
             self.route(words, entry);
             return true;
         }
-        let (mut word_digits, mut slot_digits) = self.planner.digits(digest);
         let mut probe_words = [0u32; 64];
         let mut slots = [0u32; 64];
         let mut cursor = 0usize;
-        for t in 0..self.g {
-            let word = word_digits.next_digit();
-            for _ in 0..split_hashes(self.k, self.g, t) {
-                probe_words[cursor] = word;
-                slots[cursor] = slot_digits.next_digit();
-                cursor += 1;
-            }
-        }
+        self.planner.walk(digest, |_, word, slot| {
+            probe_words[cursor] = word;
+            slots[cursor] = slot;
+            cursor += 1;
+            true
+        });
         self.stage_admitted(words, &probe_words[..cursor], &slots[..cursor])
     }
 
@@ -475,9 +469,9 @@ impl BulkStage {
         }
         self.stats.flushes += 1;
         let base = (r3 as u64) << self.s3;
-        let rw = ((1u64 << self.s3).min(self.l - base)) as usize;
+        let rw = ((1u64 << self.s3).min(self.planner.l() - base)) as usize;
         let region = &mut words[base as usize..base as usize + rw];
-        let deferred = self.is_deferred().then_some(self.k);
+        let deferred = self.is_deferred().then_some(self.planner.k());
         let start = r3 * self.l3_cap;
         let entries = &self.l3[start..start + len];
         let fresh = !std::mem::replace(&mut self.dirty[r3], true);
@@ -488,7 +482,7 @@ impl BulkStage {
                 base,
                 self.word_shift,
                 deferred,
-                self.b1,
+                self.b1(),
                 self.cap,
                 &mut self.scratch,
             )
@@ -499,7 +493,7 @@ impl BulkStage {
                 base,
                 self.word_shift,
                 deferred,
-                self.b1,
+                self.b1(),
                 self.cap,
             )
         };
@@ -530,7 +524,7 @@ impl BulkStage {
         for r2 in 0..self.l2_len.len() {
             self.spill_l2(words, r2);
         }
-        let deferred = self.is_deferred().then_some(self.k);
+        let deferred = self.is_deferred().then_some(self.planner.k());
         // Freeze the slab behind an `Arc` so every job can read its own
         // bucket range while the jobs run on different threads; the
         // stage keeps going afterwards with an empty slab (it is fully
@@ -540,7 +534,7 @@ impl BulkStage {
         let mut rest = words;
         for r3 in 0..self.l3_len.len() {
             let base = (r3 as u64) << self.s3;
-            let rw = ((1u64 << self.s3).min(self.l - base)) as usize;
+            let rw = ((1u64 << self.s3).min(self.planner.l() - base)) as usize;
             let (region, tail) = rest.split_at_mut(rw);
             rest = tail;
             let len = self.l3_len[r3] as usize;
@@ -558,7 +552,7 @@ impl BulkStage {
                 word_shift: self.word_shift,
                 deferred,
                 fresh: !std::mem::replace(&mut self.dirty[r3], true),
-                b1: self.b1,
+                b1: self.b1(),
                 cap: self.cap,
                 items: 0,
                 refused: 0,

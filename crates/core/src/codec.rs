@@ -175,7 +175,11 @@ pub struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    /// Validates magic/kind/version/CRC and positions after the header.
+    /// Validates magic/kind/CRC/version and positions after the header.
+    ///
+    /// The CRC is checked before the version, so
+    /// [`CodecError::UnsupportedVersion`] always names an intact image of
+    /// another format, never a damaged one.
     pub fn open(buf: &'a [u8], kind: u8) -> Result<Self, CodecError> {
         if buf.len() < MAGIC.len() + 2 + 4 {
             return Err(CodecError::Truncated);
@@ -186,14 +190,14 @@ impl<'a> Reader<'a> {
         if buf[4] != kind {
             return Err(CodecError::UnknownKind(buf[4]));
         }
-        if buf[5] != VERSION {
-            return Err(CodecError::UnsupportedVersion(buf[5]));
-        }
         let body = &buf[..buf.len() - 4];
         let stored = u32::from_le_bytes(buf[buf.len() - 4..].try_into().expect("4 bytes"));
         let computed = crc32(body);
         if stored != computed {
             return Err(CodecError::ChecksumMismatch { stored, computed });
+        }
+        if buf[5] != VERSION {
+            return Err(CodecError::UnsupportedVersion(buf[5]));
         }
         Ok(Reader { buf: body, pos: 6 })
     }

@@ -77,17 +77,6 @@ pub use scrub::{FilterSeal, ScrubReport, SEGMENT_WORDS};
 pub use traits::{CountingFilter, Filter};
 pub use window::SlidingWindowMpcbf;
 
-/// How many of the `k` hash functions group `t` (0-based) receives when
-/// spread over `g` words: the first `k mod g` groups get `ceil(k/g)`,
-/// the rest `floor(k/g)` (§III.C: "as k might be not divisible by g, we
-/// might assign less value to the last word" — e.g. k=3, g=2 ⇒ [2, 1]).
-#[inline]
-pub(crate) fn split_hashes(k: u32, g: u32, t: u32) -> u32 {
-    debug_assert!(t < g && g <= k);
-    let (base, rem) = plan::group_split(k, g);
-    base + u32::from(t < rem)
-}
-
 /// Commonly used items, re-exported flat.
 pub mod prelude {
     pub use crate::bf1::BfG;
@@ -106,31 +95,4 @@ pub mod prelude {
     pub use crate::scrub::{FilterSeal, ScrubReport};
     pub use crate::traits::{CountingFilter, Filter};
     pub use crate::window::SlidingWindowMpcbf;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn split_hashes_partitions_k() {
-        for k in 1..=12u32 {
-            for g in 1..=k.min(8) {
-                let total: u32 = (0..g).map(|t| split_hashes(k, g, t)).sum();
-                assert_eq!(total, k, "k={k} g={g}");
-                // Non-increasing across groups.
-                for t in 1..g {
-                    assert!(split_hashes(k, g, t - 1) >= split_hashes(k, g, t));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn split_hashes_paper_example() {
-        // "in MPCBF-2 with k=3, we allocate two hash functions to the
-        //  first word, and one to the second word."
-        assert_eq!(split_hashes(3, 2, 0), 2);
-        assert_eq!(split_hashes(3, 2, 1), 1);
-    }
 }

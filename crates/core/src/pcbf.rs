@@ -13,9 +13,8 @@ use crate::plan::{distinct_words, PlanBuffer, Planner, SMALL_BATCH};
 use crate::traits::{
     contains_batch_scalar, insert_batch_scalar, remove_batch_scalar, CountingFilter, Filter,
 };
-use crate::{split_hashes, ConfigError, FilterError};
+use crate::{ConfigError, FilterError};
 use mpcbf_bitvec::CounterVec;
-use mpcbf_hash::mix::bits_for;
 use mpcbf_hash::{Hasher128, Murmur3};
 use std::marker::PhantomData;
 
@@ -37,11 +36,10 @@ pub struct Pcbf<H: Hasher128 = Murmur3> {
     /// All words' counters, concatenated: word `i` owns counters
     /// `[i·(w/4), (i+1)·(w/4))`.
     counters: CounterVec,
-    l: usize,
     w: u32,
     counters_per_word: u32,
-    k: u32,
-    g: u32,
+    /// Placement of `k` counters over `g` of the `l` words.
+    planner: Planner,
     seed: u64,
     items: u64,
     _hasher: PhantomData<H>,
@@ -51,7 +49,7 @@ impl<H: Hasher128> Pcbf<H> {
     /// Creates a PCBF-g over `l` words of `w` bits.
     ///
     /// # Panics
-    /// Panics unless `l ≥ 2`, `w` is a multiple of 4 in `16..=512`,
+    /// Panics unless `2 ≤ l ≤ 2^32`, `w` is a multiple of 4 in `16..=512`,
     /// `1 ≤ g ≤ k ≤ 64` and `g ≤ 8`; use [`Pcbf::try_new`] to handle
     /// untrusted shapes as errors.
     pub fn new(l: usize, w: u32, k: u32, g: u32, seed: u64) -> Self {
@@ -69,6 +67,11 @@ impl<H: Hasher128> Pcbf<H> {
                 detail: "need at least two words".into(),
             });
         }
+        if l as u64 > 1 << 32 {
+            return Err(ConfigError::BadGeometry {
+                detail: format!("{l} words exceed the planner's 2^32"),
+            });
+        }
         if !(16..=512).contains(&w) || !w.is_multiple_of(4) {
             return Err(ConfigError::BadGeometry {
                 detail: format!("word size {w} must be a multiple of 4 in 16..=512"),
@@ -83,11 +86,9 @@ impl<H: Hasher128> Pcbf<H> {
         let cpw = w / 4;
         Ok(Pcbf {
             counters: CounterVec::new(l * cpw as usize, 4),
-            l,
             w,
             counters_per_word: cpw,
-            k,
-            g,
+            planner: Planner::new(l as u64, k, g, u64::from(cpw)),
             seed,
             items: 0,
             _hasher: PhantomData,
@@ -122,7 +123,7 @@ impl<H: Hasher128> Pcbf<H> {
 
     /// Number of words.
     pub fn words(&self) -> usize {
-        self.l
+        self.planner.l() as usize
     }
 
     /// Word size in bits.
@@ -132,7 +133,7 @@ impl<H: Hasher128> Pcbf<H> {
 
     /// Memory accesses per update.
     pub fn accesses(&self) -> u32 {
-        self.g
+        self.planner.g()
     }
 
     /// Net insertions currently stored.
@@ -150,36 +151,25 @@ impl<H: Hasher128> Pcbf<H> {
     /// `false` to short-circuit. Returns (words evaluated, slots evaluated).
     #[inline]
     fn for_each_slot(&self, key: &[u8], mut visit: impl FnMut(usize, usize) -> bool) -> (u32, u32) {
-        let planner = Planner::new(
-            self.l as u64,
-            self.k,
-            self.g,
-            u64::from(self.counters_per_word),
-        );
-        let (mut word_digits, mut slot_digits) = planner.digits(H::hash128(self.seed, key));
-        let mut words_eval = 0u32;
-        let mut slots_eval = 0u32;
-        'outer: for t in 0..self.g {
-            let word = word_digits.next_digit() as usize;
-            words_eval += 1;
-            for _ in 0..split_hashes(self.k, self.g, t) {
-                let slot = slot_digits.next_digit() as usize;
-                slots_eval += 1;
-                if !visit(word, word * self.counters_per_word as usize + slot) {
-                    break 'outer;
-                }
-            }
-        }
-        (words_eval, slots_eval)
+        self.planner
+            .walk(H::hash128(self.seed, key), |_, word, slot| {
+                visit(word as usize, self.slot_index(word as usize, slot))
+            })
     }
 
     #[inline]
     fn cost(&self, words_eval: u32, slots_eval: u32, touches: &WordTouches) -> OpCost {
         OpCost {
             word_accesses: touches.count(),
-            hash_bits: words_eval * bits_for(self.l as u64)
-                + slots_eval * bits_for(u64::from(self.counters_per_word)),
+            hash_bits: self.hash_bits(words_eval, slots_eval),
         }
+    }
+
+    /// Address bits of a walk that evaluated `words` words and `slots`
+    /// counters.
+    #[inline]
+    fn hash_bits(&self, words: u32, slots: u32) -> u32 {
+        words * self.planner.word_bits() + slots * self.planner.slot_bits()
     }
 
     /// Stage 1 of the batch pipeline: hash every key into the caller's
@@ -189,10 +179,10 @@ impl<H: Hasher128> Pcbf<H> {
     fn plan_into(&self, keys: &[&[u8]], plans: &mut PlanBuffer) {
         plans.plan_partitioned(
             keys.iter().map(|key| H::hash128(self.seed, key)),
-            self.l as u64,
-            self.k,
-            self.g,
-            u64::from(self.counters_per_word),
+            self.planner.l(),
+            self.planner.k(),
+            self.planner.g(),
+            self.planner.inner_range(),
         );
     }
 
@@ -208,8 +198,7 @@ impl<H: Hasher128> Pcbf<H> {
     ) -> OpCost {
         OpCost {
             word_accesses: distinct_words(&plans.words_of(i)[..words_eval as usize]),
-            hash_bits: words_eval * bits_for(self.l as u64)
-                + slots_eval * bits_for(u64::from(self.counters_per_word)),
+            hash_bits: self.hash_bits(words_eval, slots_eval),
         }
     }
 
@@ -254,11 +243,11 @@ impl<H: Hasher128> Filter for Pcbf<H> {
     }
 
     fn memory_bits(&self) -> u64 {
-        (self.l as u64) * u64::from(self.w)
+        self.planner.l() * u64::from(self.w)
     }
 
     fn num_hashes(&self) -> u32 {
-        self.k
+        self.planner.k()
     }
 
     /// Fused batch query: probe in scalar order off the buffer's plans
@@ -312,7 +301,7 @@ impl<H: Hasher128> Filter for Pcbf<H> {
                 }
             }
             self.items += 1;
-            total = total.add(self.planned_cost(plans, i, self.g, self.k));
+            total = total.add(self.planned_cost(plans, i, self.planner.g(), self.planner.k()));
             results.push(Ok(()));
         }
         (results, total)
@@ -381,7 +370,7 @@ impl<H: Hasher128> CountingFilter for Pcbf<H> {
                 }
             }
             self.items = self.items.saturating_sub(1);
-            total = total.add(self.planned_cost(plans, i, self.g, self.k));
+            total = total.add(self.planned_cost(plans, i, self.planner.g(), self.planner.k()));
             results.push(Ok(()));
         }
         (results, total)

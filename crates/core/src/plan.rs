@@ -10,7 +10,7 @@
 //!
 //! * **partitioned** — the §III layout shared by BF-g, PCBF-g and MPCBF-g:
 //!   `g` words out of `l`, and `k` in-word positions spread over those
-//!   words by `split_hashes`, all cut from disjoint fields of the key's
+//!   words by `group_split`, all cut from disjoint fields of the key's
 //!   digest by the one bit-field planner below.
 //! * **flat** — the classic unpartitioned layout of Bloom/CBF: one
 //!   unsalted double-hashing stream over the whole array.
@@ -113,7 +113,9 @@ pub const SMALL_BATCH: usize = 4;
 /// Every partitioned placement in the crate comes from
 /// [`Planner::digits`]: [`ProbePlan`], [`PlanBuffer`] and the bulk
 /// builder's packed entries through [`Planner::fill`], the scalar walks of
-/// `BfG` and `Pcbf` and the bulk builder's admitted staging directly.
+/// `BfG` and `Pcbf` and the bulk builder's admitted staging through
+/// [`Planner::walk`]. Filters and stages build their planner once, with
+/// their shape.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Planner {
     l: u64,
@@ -122,8 +124,6 @@ pub(crate) struct Planner {
     g: u32,
     word_bits: u32,
     slot_bits: u32,
-    /// Both fields hold the whole plan, so no digit ever refills.
-    compact: bool,
 }
 
 impl Planner {
@@ -141,24 +141,58 @@ impl Planner {
             (1..=1 << 32).contains(&inner_range),
             "inner range {inner_range} out of 1..=2^32"
         );
-        let (word_bits, slot_bits) = (bits_for(l), bits_for(inner_range));
         Planner {
             l,
             inner_range,
             k,
             g,
-            word_bits,
-            slot_bits,
-            compact: g * word_bits <= 64 && k * slot_bits <= SLOT_FIELD_BITS,
+            word_bits: bits_for(l),
+            slot_bits: bits_for(inner_range),
         }
+    }
+
+    /// Words in the array (`l`).
+    #[inline]
+    pub(crate) fn l(&self) -> u64 {
+        self.l
+    }
+
+    /// Probes per key (`k`).
+    #[inline]
+    pub(crate) fn k(&self) -> u32 {
+        self.k
+    }
+
+    /// Words per key (`g`).
+    #[inline]
+    pub(crate) fn g(&self) -> u32 {
+        self.g
+    }
+
+    /// Slots per word.
+    #[inline]
+    pub(crate) fn inner_range(&self) -> u64 {
+        self.inner_range
+    }
+
+    /// Address bits one word index spends (`⌈log2 l⌉`), as metered.
+    #[inline]
+    pub(crate) fn word_bits(&self) -> u32 {
+        self.word_bits
+    }
+
+    /// Address bits one slot spends (`⌈log2 inner_range⌉`), as metered.
+    #[inline]
+    pub(crate) fn slot_bits(&self) -> u32 {
+        self.slot_bits
     }
 
     /// Cuts a digest into its two digit streams: the `g` word indices and
     /// the `k` slots, in scalar evaluation order (group `t` owns the next
-    /// `split_hashes(k, g, t)` slots). Reads only digest bits below
+    /// [`group_split`] slots). Reads only digest bits below
     /// [`PLAN_DIGEST_BITS`].
     #[inline(always)]
-    pub(crate) fn digits(&self, digest: u128) -> (Digits, Digits) {
+    fn digits(&self, digest: u128) -> (Digits, Digits) {
         let words = digest as u64;
         let slots = (digest >> 64) as u64 & ((1 << SLOT_FIELD_BITS) - 1);
         let ext = words ^ (slots << (64 - SLOT_FIELD_BITS));
@@ -185,14 +219,34 @@ impl Planner {
     pub(crate) fn fill(&self, digest: u128, words: &mut [u32], slots: &mut [u32]) {
         debug_assert!(words.len() == self.g as usize && slots.len() == self.k as usize);
         let (mut word_digits, mut slot_digits) = self.digits(digest);
-        if self.compact {
-            // Same digits, minus the refill bookkeeping that never fires.
-            words.iter_mut().for_each(|w| *w = word_digits.cut());
-            slots.iter_mut().for_each(|s| *s = slot_digits.cut());
-        } else {
-            words.iter_mut().for_each(|w| *w = word_digits.next_digit());
-            slots.iter_mut().for_each(|s| *s = slot_digits.next_digit());
+        words.iter_mut().for_each(|w| *w = word_digits.next_digit());
+        slots.iter_mut().for_each(|s| *s = slot_digits.next_digit());
+    }
+
+    /// Walks a digest's plan in scalar evaluation order, calling
+    /// `visit(group, word, slot)` for each probe until it returns `false`
+    /// (a query's short-circuit). Returns the words and slots evaluated,
+    /// which the scalar walks meter.
+    #[inline(always)]
+    pub(crate) fn walk(
+        &self,
+        digest: u128,
+        mut visit: impl FnMut(u32, u32, u32) -> bool,
+    ) -> (u32, u32) {
+        let (mut word_digits, mut slot_digits) = self.digits(digest);
+        let (base, rem) = group_split(self.k, self.g);
+        let (mut words_eval, mut slots_eval) = (0, 0);
+        for t in 0..self.g {
+            let word = word_digits.next_digit();
+            words_eval += 1;
+            for _ in 0..base + u32::from(t < rem) {
+                slots_eval += 1;
+                if !visit(t, word, slot_digits.next_digit()) {
+                    return (words_eval, slots_eval);
+                }
+            }
         }
+        (words_eval, slots_eval)
     }
 
     /// A one-group plan packed into one `u64`: the word index above `k`
@@ -219,7 +273,7 @@ impl Planner {
 /// fraction, most significant first, refilled from the field's extension
 /// stream when its bits run out.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Digits {
+struct Digits {
     /// The unread fraction, aligned to bit 63.
     frac: u64,
     /// Bits of `frac` not yet spent on digits.
@@ -232,31 +286,28 @@ pub(crate) struct Digits {
 }
 
 impl Digits {
-    /// The next digit, in `[0, range)`.
+    /// The next digit, in `[0, range)`: one multiply, the high half is
+    /// the digit and the low half the rest of the field.
     #[inline(always)]
-    pub(crate) fn next_digit(&mut self) -> u32 {
+    fn next_digit(&mut self) -> u32 {
         if self.bits < self.need {
             self.frac = splitmix64(self.ext);
             self.ext = self.ext.wrapping_add(GAMMA.wrapping_mul(2));
             self.bits = 64;
         }
         self.bits -= self.need;
-        self.cut()
-    }
-
-    /// The next digit of a field known to still hold it: one multiply,
-    /// the high half is the digit and the low half the rest of the field.
-    #[inline(always)]
-    fn cut(&mut self) -> u32 {
         let p = u128::from(self.frac) * u128::from(self.range);
         self.frac = p as u64;
         (p >> 64) as u32
     }
 }
 
-/// How `split_hashes` spreads `k` probes over `g` groups: every group
-/// takes `base` probes and the first `rem` groups one more. One group,
-/// the common shape, skips the division.
+/// How `k` probes spread over `g` groups: every group takes `base`
+/// probes and the first `rem` groups one more, so the first `k mod g`
+/// groups get `ceil(k/g)` and the rest `floor(k/g)` (§III.C: "as k might
+/// be not divisible by g, we might assign less value to the last word" —
+/// e.g. k = 3, g = 2 ⇒ [2, 1]). One group, the common shape, skips the
+/// division.
 #[inline]
 pub(crate) fn group_split(k: u32, g: u32) -> (u32, u32) {
     if g == 1 {
@@ -313,7 +364,7 @@ impl ProbePlan {
     /// Plans a key for the partitioned layout: `g` words in `[0, l)` and
     /// `k` in-word positions in `[0, inner_range)`, cut from the digest by
     /// the bit-field planner (see the module docs), group `t` taking
-    /// `split_hashes(k, g, t)` positions.
+    /// `group_split` positions.
     ///
     /// This is bit-for-bit the placement of the scalar walks in `BfG` and
     /// `Pcbf` and of [`PlanBuffer::plan_partitioned`]; `Mpcbf` and the
@@ -407,7 +458,7 @@ impl ProbePlan {
 ///
 /// Structure-of-arrays layout: one `u32` per planned word and one per
 /// planned slot, contiguous across keys. Because every key of a batch
-/// shares the same `(k, g)` shape, the group layout (`split_hashes`
+/// shares the same `(k, g)` shape, the group layout (`group_split`
 /// lengths and their prefix offsets) is stored once, not per key.
 ///
 /// Callers hold a `PlanBuffer` across batches — each `plan_*` call clears
@@ -503,29 +554,15 @@ impl PlanBuffer {
             self.group_off[t as usize] = off;
             off += k_t;
         }
-        // Plan the keys the iterator promises (its `size_hint` lower
-        // bound) in place, with no per-key length bookkeeping; append any
-        // it yields beyond that.
         let (g, k) = (g as usize, k as usize);
-        let mut digests = digests;
         let promised = digests.size_hint().0;
-        self.words.resize(promised * g, 0);
-        self.slots.resize(promised * k, 0);
-        let (mut words, mut slots) = (&mut self.words[..], &mut self.slots[..]);
-        for digest in digests.by_ref().take(promised) {
-            let (key_words, rest_words) = std::mem::take(&mut words).split_at_mut(g);
-            let (key_slots, rest_slots) = std::mem::take(&mut slots).split_at_mut(k);
-            planner.fill(digest, key_words, key_slots);
-            (words, slots) = (rest_words, rest_slots);
-            self.keys += 1;
-        }
-        self.words.truncate(self.keys * g);
-        self.slots.truncate(self.keys * k);
+        self.words.reserve(promised * g);
+        self.slots.reserve(promised * k);
         for digest in digests {
-            let (words, slots) = (self.words.len(), self.slots.len());
-            self.words.resize(words + g, 0);
-            self.slots.resize(slots + k, 0);
-            planner.fill(digest, &mut self.words[words..], &mut self.slots[slots..]);
+            // Exact-size extends: one capacity check per key, no zero fill.
+            let (mut word_digits, mut slot_digits) = planner.digits(digest);
+            self.words.extend((0..g).map(|_| word_digits.next_digit()));
+            self.slots.extend((0..k).map(|_| slot_digits.next_digit()));
             self.keys += 1;
         }
     }
@@ -743,6 +780,34 @@ mod tests {
         }
     }
 
+    /// Probes of group `t` under `group_split(k, g)`.
+    fn group_len(k: u32, g: u32, t: u32) -> u32 {
+        let (base, rem) = group_split(k, g);
+        base + u32::from(t < rem)
+    }
+
+    #[test]
+    fn group_split_partitions_k() {
+        for k in 1..=12u32 {
+            for g in 1..=k.min(8) {
+                let total: u32 = (0..g).map(|t| group_len(k, g, t)).sum();
+                assert_eq!(total, k, "k={k} g={g}");
+                // Non-increasing across groups.
+                for t in 1..g {
+                    assert!(group_len(k, g, t - 1) >= group_len(k, g, t));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn group_split_paper_example() {
+        // "in MPCBF-2 with k=3, we allocate two hash functions to the
+        //  first word, and one to the second word."
+        assert_eq!(group_len(3, 2, 0), 2);
+        assert_eq!(group_len(3, 2, 1), 1);
+    }
+
     #[test]
     fn groups_cover_all_probes_in_order() {
         let plan = ProbePlan::partitioned(digest(9), 1 << 16, 7, 3, 61);
@@ -751,7 +816,7 @@ mod tests {
             .flat_map(|(_, probes)| probes.iter().copied())
             .collect();
         assert_eq!(via_groups.as_slice(), plan.probes());
-        // split_hashes(7, 3, ·) = [3, 2, 2].
+        // group_split(7, 3) = (2, 1): [3, 2, 2].
         let lens: Vec<usize> = plan.groups().map(|(_, p)| p.len()).collect();
         assert_eq!(lens, vec![3, 2, 2]);
     }
@@ -790,8 +855,8 @@ mod tests {
 
     #[test]
     fn buffer_plans_iterators_that_promise_fewer_keys() {
-        // `filter` promises no keys (size_hint lower bound 0), so every
-        // key takes the appending path; the plans must not differ.
+        // `filter` promises no keys (size_hint lower bound 0), so the
+        // buffer grows key by key; the plans must not differ.
         let (l, k, g, b1) = (1000u64, 5u32, 2u32, 37u64);
         let mut exact = PlanBuffer::new();
         exact.plan_partitioned((0..50u64).map(digest), l, k, g, b1);

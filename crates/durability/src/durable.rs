@@ -181,14 +181,16 @@ impl<F: CountingFilter + DurableImage> DurableFilter<F> {
     /// (repairing torn tails in place), cross-checks the result with
     /// the scrub machinery, and reopens for writing. `fallback` builds
     /// the filter when no usable snapshot exists (fresh directory, or
-    /// every snapshot corrupt — the WAL then replays from seq 1).
+    /// every snapshot corrupt — the WAL then replays from seq 1). A
+    /// snapshot of another codec format version fails recovery with
+    /// [`DurableError::IncompatibleSnapshot`].
     pub fn open_or_recover(
         opts: DurabilityOptions,
         fallback: impl FnOnce() -> F,
     ) -> Result<(Self, RecoveryReport), DurableError> {
         let snapshots = SnapshotStore::new(&opts.dir, SNAP_PREFIX, opts.kill.clone())?;
         let mut report = RecoveryReport::default();
-        let (base, corrupt) = snapshots.load_latest_with(|bytes| F::decode_image(bytes).ok())?;
+        let (base, corrupt) = snapshots.load_latest_with(F::decode_image)?;
         report.snapshots_corrupt = corrupt;
         let (mut inner, snap_seq) = match base {
             Some((seq, filter)) => {

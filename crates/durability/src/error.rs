@@ -19,6 +19,16 @@ pub enum DurableError {
     Killed(KillSite),
     /// A snapshot image failed to decode.
     Image(CodecError),
+    /// The newest usable snapshot is an intact image of another codec
+    /// format version. Its words were placed by another planner, and the
+    /// WAL below it has been truncated, so recovery stops rather than
+    /// skip it and come up without the keys it holds.
+    IncompatibleSnapshot {
+        /// Sequence number of the refused snapshot.
+        seq: u64,
+        /// Format version the snapshot was written in.
+        version: u8,
+    },
     /// The wrapped filter refused the operation (e.g. word overflow).
     /// The op is already logged; replay re-refuses it deterministically.
     Filter(FilterError),
@@ -41,6 +51,11 @@ impl std::fmt::Display for DurableError {
             DurableError::Io { context, source } => write!(f, "{context}: {source}"),
             DurableError::Killed(site) => write!(f, "injected crash at {site}"),
             DurableError::Image(e) => write!(f, "snapshot image: {e}"),
+            DurableError::IncompatibleSnapshot { seq, version } => write!(
+                f,
+                "snapshot {seq} is in unsupported format version {version}; \
+                 rebuild the filter from its keys"
+            ),
             DurableError::Filter(e) => write!(f, "filter refused: {e:?}"),
         }
     }

@@ -32,7 +32,7 @@ use crate::snapshot::SnapshotStore;
 use crate::wal::Wal;
 use mpcbf_concurrent::{ElasticShardedMpcbf, ShardedMpcbf};
 use mpcbf_core::codec::crc32;
-use mpcbf_core::FilterError;
+use mpcbf_core::{CodecError, FilterError};
 use mpcbf_hash::Murmur3;
 
 const SNAP_PREFIX: &str = "snap";
@@ -223,7 +223,8 @@ impl<P: ShardedPool> DurableSharded<P> {
     /// shard's WAL scanned, repaired, and replayed in parallel through
     /// [`ShardedPool::apply`]. `fallback` supplies the pool for a fresh
     /// (or fully corrupt) directory; its shard count defines the log
-    /// layout.
+    /// layout. A snapshot of another codec format version fails recovery
+    /// with [`DurableError::IncompatibleSnapshot`].
     pub fn open_or_recover(
         opts: DurabilityOptions,
         fallback: impl FnOnce() -> P,
@@ -231,9 +232,13 @@ impl<P: ShardedPool> DurableSharded<P> {
         let snapshots = SnapshotStore::new(&opts.dir, SNAP_PREFIX, opts.kill.clone())?;
         let mut report = RecoveryReport::default();
         let (base, corrupt) = snapshots.load_latest_with(|bytes| {
-            let (seqs, image) = decode_envelope(bytes)?;
-            let pool = P::decode_image(image).ok()?;
-            (seqs.len() == pool.shard_count()).then_some((seqs, pool))
+            let (seqs, image) =
+                decode_envelope(bytes).ok_or(CodecError::BadHeader("snapshot envelope"))?;
+            let pool = P::decode_image(image)?;
+            if seqs.len() != pool.shard_count() {
+                return Err(CodecError::BadHeader("snapshot shard count"));
+            }
+            Ok((seqs, pool))
         })?;
         report.snapshots_corrupt = corrupt;
         let (pool, snap_seqs) = match base {

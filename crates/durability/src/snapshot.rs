@@ -8,11 +8,14 @@
 //! old snapshot set, or the old set plus a stray `.tmp` that recovery
 //! ignores and the next snapshot cycle deletes. Snapshot images also
 //! self-validate (codec CRC), so even a corrupted published file is
-//! detected and skipped, falling back to the next-newest snapshot.
+//! detected and skipped, falling back to the next-newest snapshot. An
+//! intact snapshot of another format version is never skipped: it stops
+//! recovery (see [`SnapshotStore::load_latest_with`]).
 
 use crate::error::DurableError;
 use crate::kill::{KillSite, KillSwitch};
 use crate::wal::sync_dir;
+use mpcbf_core::CodecError;
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -97,9 +100,15 @@ impl SnapshotStore {
     /// Loads the newest snapshot that decodes cleanly, skipping (and
     /// counting) unreadable or corrupt ones. Returns the winning
     /// `(seq, value)` and the number of snapshots skipped as corrupt.
+    ///
+    /// A snapshot refused with [`CodecError::UnsupportedVersion`] is not
+    /// corrupt: it is an intact image whose words only the placement that
+    /// wrote it can read, and the WAL below it is already truncated.
+    /// Skipping it would recover a filter without its keys, so the load
+    /// stops with [`DurableError::IncompatibleSnapshot`] instead.
     pub fn load_latest_with<T>(
         &self,
-        decode: impl Fn(&[u8]) -> Option<T>,
+        decode: impl Fn(&[u8]) -> Result<T, CodecError>,
     ) -> Result<(Option<(u64, T)>, u64), DurableError> {
         let mut corrupt = 0;
         for (seq, path) in self.list()? {
@@ -108,8 +117,11 @@ impl SnapshotStore {
                 continue;
             };
             match decode(&bytes) {
-                Some(value) => return Ok((Some((seq, value)), corrupt)),
-                None => corrupt += 1,
+                Ok(value) => return Ok((Some((seq, value)), corrupt)),
+                Err(CodecError::UnsupportedVersion(version)) => {
+                    return Err(DurableError::IncompatibleSnapshot { seq, version })
+                }
+                Err(_) => corrupt += 1,
             }
         }
         Ok((None, corrupt))
@@ -149,9 +161,14 @@ mod tests {
         dir
     }
 
-    fn decode_ok(bytes: &[u8]) -> Option<Vec<u8>> {
-        // Toy "codec": valid iff it ends with the marker byte.
-        (bytes.last() == Some(&0xAA)).then(|| bytes.to_vec())
+    fn decode_ok(bytes: &[u8]) -> Result<Vec<u8>, CodecError> {
+        // Toy "codec": valid iff it ends with the marker byte; a leading
+        // 0xF1 marks an image of another format version.
+        match (bytes.first(), bytes.last()) {
+            (Some(&0xF1), _) => Err(CodecError::UnsupportedVersion(1)),
+            (_, Some(&0xAA)) => Ok(bytes.to_vec()),
+            _ => Err(CodecError::BadMagic),
+        }
     }
 
     #[test]
@@ -175,6 +192,20 @@ mod tests {
         let (found, corrupt) = store.load_latest_with(decode_ok).unwrap();
         assert_eq!(found, Some((5, vec![1, 0xAA])));
         assert_eq!(corrupt, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn other_format_version_stops_the_load() {
+        let dir = scratch_dir("version");
+        let store = SnapshotStore::new(&dir, "snap", KillSwitch::new()).unwrap();
+        store.write(5, &[1, 0xAA]).unwrap();
+        store.write(9, &[0xF1, 0xAA]).unwrap();
+        store.write(12, &[2, 3]).unwrap(); // corrupt: skipped, as before
+        match store.load_latest_with(decode_ok) {
+            Err(DurableError::IncompatibleSnapshot { seq: 9, version: 1 }) => {}
+            other => panic!("expected an incompatible-snapshot error, got {other:?}"),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,9 +16,12 @@
 //! * the snapshot/truncate sites — housekeeping crashed with no op in
 //!   flight; the prefix is every acknowledged op.
 
+use mpcbf::concurrent::ShardedMpcbf;
+use mpcbf::core::codec::crc32;
 use mpcbf::core::{CountingFilter, Filter, Mpcbf, MpcbfConfig};
 use mpcbf::durability::{
-    encode_frame, DurabilityOptions, DurableFilter, KillSite, KillSwitch, WalOp, WalRecord,
+    decode_envelope, encode_envelope, encode_frame, DurabilityOptions, DurableError, DurableFilter,
+    DurableShardedMpcbf, KillSite, KillSwitch, WalOp, WalRecord,
 };
 use mpcbf::hash::Murmur3;
 use proptest::prelude::*;
@@ -229,4 +232,94 @@ proptest! {
         prop_assert!(report.scrub_clean, "recovered image must scrub clean");
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Rewrites a sealed codec image as format version 1: version byte set,
+/// CRC re-sealed, so the image is intact but of the retired placement.
+fn as_version_1(image: &mut [u8]) {
+    assert_eq!(image[5], 2, "images are written as format version 2");
+    image[5] = 1;
+    let body = image.len() - 4;
+    let crc = crc32(&image[..body]);
+    image[body..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// The only published snapshot in `dir`, rewritten through `rewrite`.
+fn rewrite_snapshot(dir: &std::path::Path, rewrite: impl Fn(&[u8]) -> Vec<u8>) {
+    let snaps: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
+        .collect();
+    assert_eq!(snaps.len(), 1, "snapshot purges every older snapshot");
+    let bytes = std::fs::read(&snaps[0]).unwrap();
+    std::fs::write(&snaps[0], rewrite(&bytes)).unwrap();
+}
+
+// A snapshot holds the only record of the keys logged before it (the
+// WAL below it is truncated). An intact image of the retired format
+// version must stop recovery, not be skipped as corrupt, which would
+// bring the filter up without those keys.
+#[test]
+fn version_1_snapshot_stops_recovery() {
+    let cfg = config();
+    let dir = scratch_dir();
+    let mut durable: DurableFilter<Mpcbf<u64, Murmur3>> =
+        DurableFilter::create(Mpcbf::new(cfg), DurabilityOptions::new(&dir)).unwrap();
+    for key in 0..100u8 {
+        durable.insert_bytes(&[key]).unwrap();
+    }
+    durable.snapshot().unwrap();
+    durable.insert_bytes(&[200]).unwrap();
+    drop(durable);
+    rewrite_snapshot(&dir, |image| {
+        let mut image = image.to_vec();
+        as_version_1(&mut image);
+        image
+    });
+
+    let result = DurableFilter::open_or_recover(DurabilityOptions::new(&dir), || {
+        Mpcbf::<u64, Murmur3>::new(cfg)
+    });
+    match result {
+        Err(DurableError::IncompatibleSnapshot {
+            seq: 100,
+            version: 1,
+        }) => {}
+        Err(e) => panic!("expected an incompatible-snapshot error, got {e}"),
+        Ok(_) => panic!("recovery read a version 1 snapshot"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn version_1_sharded_snapshot_stops_recovery() {
+    let cfg = config();
+    let dir = scratch_dir();
+    let mut durable: DurableShardedMpcbf =
+        DurableShardedMpcbf::create(ShardedMpcbf::new(cfg, 4), DurabilityOptions::new(&dir))
+            .unwrap();
+    for key in 0..100u8 {
+        durable.insert_bytes(&[key]).unwrap();
+    }
+    durable.snapshot().unwrap();
+    durable.insert_bytes(&[200]).unwrap();
+    drop(durable);
+    rewrite_snapshot(&dir, |envelope| {
+        let (seqs, image) = decode_envelope(envelope).expect("intact envelope");
+        let mut image = image.to_vec();
+        as_version_1(&mut image);
+        encode_envelope(&seqs, &image)
+    });
+
+    let result = DurableShardedMpcbf::open_or_recover(DurabilityOptions::new(&dir), || {
+        ShardedMpcbf::<u64, Murmur3>::new(cfg, 4)
+    });
+    match result {
+        Err(DurableError::IncompatibleSnapshot { version: 1, .. }) => {}
+        Err(e) => panic!("expected an incompatible-snapshot error, got {e}"),
+        Ok(_) => panic!("recovery read a version 1 snapshot"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
